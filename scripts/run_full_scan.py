@@ -8,10 +8,8 @@ import os
 import time
 
 from comatroid.catalog import named
-from comatroid.census import hyperplane_scan
+from comatroid.census import SCAN_SEEDS, hyperplane_scan
 from comatroid.matroid import embed
-
-SEEDS = ("m2-1", "m2-2", "extra-1", "extra-2")
 
 
 def main() -> None:
@@ -20,7 +18,7 @@ def main() -> None:
                     help="extension depth (default 10, the full desk scale)")
     ap.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1))
     args = ap.parse_args()
-    for name in SEEDS:
+    for name in SCAN_SEEDS:
         t0 = time.perf_counter()
         scan = hyperplane_scan(embed(named(name)), max_extra=args.max_extra,
                                jobs=args.jobs)

@@ -22,10 +22,13 @@ from pathlib import Path
 from .errors import ResourceLimitError
 from .linalg import mat_apply, normalize, vec_add, vec_scale
 from .matroid import EmbeddedMatroid
-from .projective import PointSpace, iter_bits, point_space
+from .projective import PointSpace, iter_bits, point_space, popcount
 
 MAX_CANONICAL_RANK = 6
 CACHE_DIR_VAR = "COMATROID_CACHE_DIR"
+# Part of every disk-cache file name: raise it whenever the key's order or
+# search changes, so files written by an older version are never read.
+CACHE_VERSION = 1
 
 _key_memo: dict[tuple[int, int, int], tuple] = {}
 
@@ -34,16 +37,25 @@ def _cache_path(r: int, q: int, green: int) -> Path | None:
     root = os.environ.get(CACHE_DIR_VAR)
     if not root:
         return None
-    return Path(root) / f"{q}-{r}-{green:x}.key"
+    return Path(root) / f"v{CACHE_VERSION}-{q}-{r}-{green:x}.key"
 
 
-def _cache_read(path: Path | None) -> int | None:
+def _cache_read(path: Path | None, space: PointSpace, green: int) -> int | None:
+    """The cached key mask of a spanning green set, unless it cannot be one.
+
+    A key is the image of the green set under an invertible map, so it has
+    the same size, lies in the same space and spans it.
+    """
     if path is None:
         return None
     try:
-        return int(path.read_text().strip(), 16)
+        best = int(path.read_text().strip(), 16)
     except (OSError, ValueError):
         return None
+    if (not 0 <= best <= space.full_mask or popcount(best) != popcount(green)
+            or space.rank_of_mask(best) != space.r):
+        return None
+    return best
 
 
 def _cache_write(path: Path | None, best: int) -> None:
@@ -98,7 +110,7 @@ def canonical_key(M: EmbeddedMatroid) -> tuple:
         _key_memo[memo_key] = result
         return result
     disk = _cache_path(r, q, m.green_mask)
-    cached = _cache_read(disk)
+    cached = _cache_read(disk, space, m.green_mask)
     if cached is not None:
         result = (q, r, cached)
         _key_memo[memo_key] = result
@@ -173,17 +185,7 @@ def point_permutation(space: PointSpace, mat) -> tuple[int, ...]:
 def apply_linear_map(M: EmbeddedMatroid, mat) -> EmbeddedMatroid:
     """The image of the green set under an invertible matrix on the ambient space."""
     perm = point_permutation(M.space, mat)
-    green = 0
-    for i in iter_bits(M.green_mask):
-        green |= 1 << perm[i]
-    return EmbeddedMatroid(M.space, green)
-
-
-def fingerprint(M: EmbeddedMatroid) -> tuple:
-    """Cheap isomorphism invariant for prefiltering canonical comparisons."""
-    m = M.to_span()
-    hyper_sizes = sorted(bin(h).count("1") for h in m.hyperplane_masks())
-    return (m.q, m.space.r, m.n, tuple(hyper_sizes))
+    return EmbeddedMatroid(M.space, M.space.translate_mask(M.green_mask, perm))
 
 
 def is_isomorphic(M: EmbeddedMatroid, N: EmbeddedMatroid) -> bool:
@@ -191,7 +193,3 @@ def is_isomorphic(M: EmbeddedMatroid, N: EmbeddedMatroid) -> bool:
     if M.q != N.q or M.rank != N.rank or M.n != N.n:
         return False
     return canonical_key(M) == canonical_key(N)
-
-
-def canonical_form(M: EmbeddedMatroid) -> tuple:
-    return canonical_key(M)

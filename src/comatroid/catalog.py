@@ -330,6 +330,17 @@ _ALIASES = {
     "PG(2,2)": "F7",
 }
 
+# The seven rank-3 ternary minimal non-comatroids: census label -> catalog name.
+TERNARY_RANK3_MINIMAL = {
+    "U(3,4)": "C(4,3)",
+    "P(U23,U23)": "P(U23,U23)",
+    "U24+2U23": "U24+2U23",
+    "U24+2U24": "R6",
+    "P(U24,U23)": "P(U24,U23)",
+    "M(K4)": "M(K4)",
+    "W3": "W3",
+}
+
 _PATTERNS = (
     (re.compile(r"PG\((\d+),([23])\)\Z"),
      lambda m: _projective_columns(int(m.group(1)) + 1, int(m.group(2)))),

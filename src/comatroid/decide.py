@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .canonical import canonical_key
-from .catalog import circuit_with_u24, named
+from .catalog import TERNARY_RANK3_MINIMAL, circuit, circuit_with_u24, named
 from .errors import ResourceLimitError
 from .formats import loads_presentation
 from .matroid import EmbeddedMatroid, embed
@@ -161,6 +161,31 @@ def _family_key(k: int, d: int) -> tuple:
     return canonical_key(embed(circuit_with_u24(k, range(d))))
 
 
+def _classify_flat(space, x: int, rank: int, cat: ForbiddenCatalog) -> str | None:
+    """Name of the forbidden member that the rank-`rank` green set x is, if any.
+
+    The circuit test is cheapest and comes first; a canonical key is computed
+    only for the GF(3) family or when a fixed entry has x's rank and size.
+    """
+    size = popcount(x)
+    min_circuit = 6 if cat.q == 2 else 4
+    if size == rank + 1 and size >= min_circuit and space.is_connected_mask(x):
+        return f"circuit of size {size}"
+    if cat.q == 3:
+        ksig = 2 * (rank + 1) - size
+        dsig = size - rank - 1
+        if ksig >= 3 and dsig >= 1 and space.is_connected_mask(x):
+            if canonical_key(EmbeddedMatroid(space, x)) == _family_key(ksig, dsig):
+                return f"circuit with U(2,4) family (k={ksig}, d={dsig})"
+    key = None
+    for name, entry_key in cat.fixed_candidates(rank, size):
+        if key is None:
+            key = canonical_key(EmbeddedMatroid(space, x))
+        if key == entry_key:
+            return name
+    return None
+
+
 def _match_forbidden(side: EmbeddedMatroid, cat: ForbiddenCatalog):
     """First (flat members, entry name) match on one side, or None.
 
@@ -172,7 +197,6 @@ def _match_forbidden(side: EmbeddedMatroid, cat: ForbiddenCatalog):
     m = side.to_span()
     space = m.space
     green = m.green_mask
-    min_circuit = 6 if cat.q == 2 else 4
     # top-rank flats first: circuits and family members sit at the span, so
     # dense non-members are rejected before the wide low-rank levels
     for frank in range(space.r, 2, -1):
@@ -180,23 +204,9 @@ def _match_forbidden(side: EmbeddedMatroid, cat: ForbiddenCatalog):
             x = fmask & green
             if x == 0 or space.closure_mask(x) != fmask:
                 continue
-            size = popcount(x)
-            if size == frank + 1 and size >= min_circuit and space.is_connected_mask(x):
-                return (tuple(iter_bits(x)), f"circuit of size {size}")
-            if cat.q == 3:
-                ksig = 2 * (frank + 1) - size
-                dsig = size - frank - 1
-                if ksig >= 3 and dsig >= 1 and space.is_connected_mask(x):
-                    sub = EmbeddedMatroid(space, x)
-                    if canonical_key(sub) == _family_key(ksig, dsig):
-                        return (tuple(iter_bits(x)),
-                                f"circuit with U(2,4) family (k={ksig}, d={dsig})")
-            hit_key = None
-            for name, key in cat.fixed_candidates(frank, size):
-                if hit_key is None:
-                    hit_key = canonical_key(EmbeddedMatroid(space, x))
-                if hit_key == key:
-                    return (tuple(iter_bits(x)), name)
+            name = _classify_flat(space, x, frank, cat)
+            if name is not None:
+                return (tuple(iter_bits(x)), name)
     return None
 
 
@@ -210,13 +220,10 @@ def decide_forbidden_flats(M: EmbeddedMatroid, cat: ForbiddenCatalog | None = No
     if cat.q != M.q:
         raise ValueError(f"catalog is for GF({cat.q}), matroid over GF({M.q})")
     m = M.to_span()
-    hit = _match_forbidden(m, cat)
-    if hit is not None:
-        return Verdict(False, "forbidden-flat", ("witness", "M") + hit)
-    comp = m.complement()
-    hit = _match_forbidden(comp, cat)
-    if hit is not None:
-        return Verdict(False, "forbidden-flat", ("witness", "M^c") + hit)
+    for side_name, side in (("M", m), ("M^c", m.complement())):
+        hit = _match_forbidden(side, cat)
+        if hit is not None:
+            return Verdict(False, "forbidden-flat", ("witness", side_name) + hit)
     return Verdict(True, "forbidden-flat")
 
 
@@ -242,8 +249,6 @@ def _induced_minor_list(q: int) -> dict[tuple, str]:
             out.setdefault(_node_key(m), name)
 
     if q == 2:
-        from .catalog import circuit
-
         add(embed(circuit(6, 2)).complement(), "complement of a 6-circuit")
         add(embed(named("P(U34,U34)")), "P(U34,U34)")
         bundled = dict(_forbidden_dir_presentations())
@@ -263,14 +268,10 @@ def _induced_minor_list(q: int) -> dict[tuple, str]:
                     continue
                 member = embed(circuit_with_u24(k, range(d)))
                 add(member.complement(), f"complement of family (k={k}, d={d})")
-        from .catalog import circuit
-
-        seven = {"U(3,4)": embed(circuit(4, 3))}
-        for name in ("P(U23,U23)", "U24+2U23", "R6", "P(U24,U23)", "M(K4)", "W3"):
-            seven[name] = embed(named(name))
-        for name, m in seven.items():
-            add(m, name)
-            add(m.complement(), f"complement of {name}")
+        for label, name in TERNARY_RANK3_MINIMAL.items():
+            m = embed(named(name))
+            add(m, label)
+            add(m.complement(), f"complement of {label}")
     return out
 
 
@@ -306,63 +307,49 @@ def has_forbidden_induced_minor(M: EmbeddedMatroid, cat=None) -> bool:
 # -------------------------------------------------------------------- replay
 
 def verify_certificate(M: EmbeddedMatroid, verdict: Verdict) -> bool:
-    """Replay a certificate against M, independently of the producing decider."""
+    """Replay a certificate against M, independently of the producing decider.
+
+    Only a positive flat or forbidden scan ends without a witness; any other
+    verdict without a certificate, and any malformed certificate, is rejected.
+    """
     cert = verdict.certificate
     if cert is None:
-        return True
-    if verdict.method == "recursive":
-        try:
-            return _replay_rec(M.to_span(), cert) == verdict.is_comatroid
-        except _ReplayError:
-            return False
+        return verdict.is_comatroid and verdict.method in ("flat-criterion", "forbidden-flat")
     m = M.to_span()
-    if verdict.method == "flat-criterion":
-        tag, members = cert[0], cert[1]
-        if tag != "violating-flat":
-            return False
-        fmask = m.space.mask_of(members)
-        if m.space.closure_mask(fmask) != fmask:
-            return False
-        x = fmask & m.green_mask
-        y = fmask & ~m.green_mask
-        return (m.space.rank_of_mask(x) == m.space.rank_of_mask(y)
-                and m.space.is_connected_mask(x)
-                and m.space.is_connected_mask(y)
-                and not verdict.is_comatroid)
-    if verdict.method == "forbidden-flat":
-        tag, side_name, members, entry = cert
-        if tag != "witness":
-            return False
-        side = m if side_name == "M" else m.complement().to_span()
-        x = side.space.mask_of(members)
-        if x & ~side.green_mask:
-            return False
-        if side.space.closure_mask(x) & side.green_mask != x:
-            return False
-        sub = EmbeddedMatroid(side.space, x)
-        cat = forbidden_catalog(m.q)
-        hit = _match_forbidden_single(sub, cat)
-        return hit == entry and not verdict.is_comatroid
+    space = m.space
+    match verdict.method, cert:
+        case "recursive", _:
+            try:
+                return _replay_rec(m, cert) == verdict.is_comatroid
+            except _ReplayError:
+                return False
+        case "flat-criterion", ("violating-flat", members):
+            fmask = _members_mask(space, members)
+            if fmask is None or space.closure_mask(fmask) != fmask:
+                return False
+            x = fmask & m.green_mask
+            y = fmask & ~m.green_mask
+            return (space.rank_of_mask(x) == space.rank_of_mask(y)
+                    and space.is_connected_mask(x)
+                    and space.is_connected_mask(y)
+                    and not verdict.is_comatroid)
+        case "forbidden-flat", ("witness", "M" | "M^c" as side_name, members, entry):
+            side = m if side_name == "M" else m.complement().to_span()
+            x = _members_mask(side.space, members)
+            if x is None or side.space.closure_mask(x) & side.green_mask != x:
+                return False
+            hit = _classify_flat(side.space, x, side.space.rank_of_mask(x),
+                                 forbidden_catalog(m.q))
+            return hit == entry and not verdict.is_comatroid
     return False
 
 
-def _match_forbidden_single(sub: EmbeddedMatroid, cat: ForbiddenCatalog) -> str | None:
-    """Name of the forbidden entry the whole green set of sub matches, if any."""
-    m = sub.to_span()
-    size, rank = m.n, m.rank
-    min_circuit = 6 if cat.q == 2 else 4
-    if size == rank + 1 and size >= min_circuit and m.is_connected():
-        return f"circuit of size {size}"
-    if cat.q == 3:
-        ksig = 2 * (rank + 1) - size
-        dsig = size - rank - 1
-        if ksig >= 3 and dsig >= 1 and m.is_connected():
-            if canonical_key(m) == _family_key(ksig, dsig):
-                return f"circuit with U(2,4) family (k={ksig}, d={dsig})"
-    for name, key in cat.fixed_candidates(rank, size):
-        if canonical_key(m) == key:
-            return name
-    return None
+def _members_mask(space, members) -> int | None:
+    """Mask of a certificate's point list, or None unless it lists points of space."""
+    if not (isinstance(members, tuple)
+            and all(isinstance(i, int) and 0 <= i < space.n for i in members)):
+        return None
+    return space.mask_of(members)
 
 
 class _ReplayError(Exception):
@@ -370,33 +357,35 @@ class _ReplayError(Exception):
 
 
 def _replay_rec(m: EmbeddedMatroid, cert: tuple) -> bool:
-    tag = cert[0]
-    if tag == "empty":
-        if m.green_mask != 0:
-            raise _ReplayError
-        return True
-    if tag == "blocked":
-        comp = m.complement()
-        if not (m.is_connected() and comp.rank == m.rank
-                and m.space.is_connected_mask(comp.green_mask)):
-            raise _ReplayError
-        return False
-    if tag == "components":
-        comps = m.space.components_mask(m.green_mask)
-        if len(comps) < 2 or len(comps) != len(cert[1]):
-            raise _ReplayError
-        ok = True
-        for c, (members, sub_cert) in zip(comps, cert[1]):
-            if m.space.mask_of(members) != c:
+    match cert:
+        case ("empty",):
+            if m.green_mask != 0:
                 raise _ReplayError
-            sub = EmbeddedMatroid(m.space, c).to_span()
-            ok = _replay_rec(sub, sub_cert) and ok
-        return ok
-    if tag == "complement":
-        comp = m.complement()
-        if not m.is_connected():
-            raise _ReplayError
-        if comp.rank == m.rank and m.space.is_connected_mask(comp.green_mask):
-            raise _ReplayError
-        return _replay_rec(comp.to_span(), cert[1])
+            return True
+        case ("blocked",):
+            comp = m.complement()
+            if not (m.is_connected() and comp.rank == m.rank
+                    and m.space.is_connected_mask(comp.green_mask)):
+                raise _ReplayError
+            return False
+        case ("components", tuple() as children):
+            comps = m.space.components_mask(m.green_mask)
+            if len(comps) < 2 or len(comps) != len(children):
+                raise _ReplayError
+            ok = True
+            for c, child in zip(comps, children):
+                match child:
+                    case (members, sub_cert) if _members_mask(m.space, members) == c:
+                        sub = EmbeddedMatroid(m.space, c).to_span()
+                        ok = _replay_rec(sub, sub_cert) and ok
+                    case _:
+                        raise _ReplayError
+            return ok
+        case ("complement", sub_cert):
+            comp = m.complement()
+            if not m.is_connected():
+                raise _ReplayError
+            if comp.rank == m.rank and m.space.is_connected_mask(comp.green_mask):
+                raise _ReplayError
+            return _replay_rec(comp.to_span(), sub_cert)
     raise _ReplayError

@@ -70,10 +70,7 @@ class MatroidFlat:
 
     @property
     def mask(self) -> int:
-        m = 0
-        for i in self.members:
-            m |= 1 << i
-        return m
+        return self.matroid.space.mask_of(self.members)
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,7 @@ class EmbeddedMatroid:
         return dict(self.labels or ())
 
     def mask_of_labels(self, names) -> int:
-        m = 0
-        for name in names:
-            m |= 1 << self.label_to_index[name]
-        return m
+        return self.space.mask_of(self.label_to_index[name] for name in names)
 
     def _subset_mask(self, S) -> int:
         if S is None:
@@ -151,16 +145,9 @@ class EmbeddedMatroid:
 
     def _span_flat_masks(self):
         """(flat mask in ambient coordinates, rank) over all flats of the green span."""
-        if self.is_spanning:
-            yield from self.space.all_flat_masks()
-            return
-        sub, mapping = self.space.flat_embedding(self.span_mask)
-        back = {v: k for k, v in mapping.items()}
-        for fmask, k in sub.all_flat_masks():
-            amb = 0
-            for i in iter_bits(fmask):
-                amb |= 1 << back[i]
-            yield amb, k
+        for k in range(self.rank + 1):
+            for fmask in self._span_flats_of_rank(k):
+                yield fmask, k
 
     def flats_of(self) -> list[MatroidFlat]:
         """All flats of the matroid, each with its minimal projective span."""
@@ -183,10 +170,7 @@ class EmbeddedMatroid:
         sub, mapping = self.space.flat_embedding(self.span_mask)
         back = {v: k for k, v in mapping.items()}
         for fmask in sub.flats_of_rank(j):
-            amb = 0
-            for i in iter_bits(fmask):
-                amb |= 1 << back[i]
-            yield amb
+            yield sub.translate_mask(fmask, back)
 
     def hyperplane_masks(self) -> tuple[int, ...]:
         """Masks of the rank-(r-1) flats of the matroid, in ambient coordinates."""
@@ -334,9 +318,7 @@ class EmbeddedMatroid:
         target = point_space(t, self.q)
         pad = (0,) * (t - m.space.r)
         remap = {i: target.index[p + pad] for i, p in enumerate(m.space.points)}
-        green = 0
-        for i in iter_bits(m.green_mask):
-            green |= 1 << remap[i]
+        green = m.space.translate_mask(m.green_mask, remap)
         labels = None
         if m.labels is not None:
             labels = tuple((name, remap[i]) for name, i in m.labels)
@@ -408,11 +390,7 @@ class EmbeddedMatroid:
         if m.space.r == 1:
             return EmbeddedMatroid(point_space(0, self.q), 0)
         sub, mapping = m.space.contraction_map(e)
-        green = 0
-        for i in iter_bits(m.green_mask):
-            if i != e:
-                green |= 1 << mapping[i]
-        return EmbeddedMatroid(sub, green)
+        return EmbeddedMatroid(sub, m.space.translate_mask(m.green_mask & ~(1 << e), mapping))
 
 
 def embed(pres: MatrixPresentation) -> EmbeddedMatroid:
@@ -448,56 +426,3 @@ def embed(pres: MatrixPresentation) -> EmbeddedMatroid:
             labels.append((pres.labels[pos], p))
     return EmbeddedMatroid(space, green, tuple(labels) if pres.labels is not None else None)
 
-
-# ------------------------------------------------------ operation-style names
-
-def matroid_rank(M: EmbeddedMatroid, S=None) -> int:
-    return M.rank_of(S)
-
-
-def flats_of(M: EmbeddedMatroid) -> list[MatroidFlat]:
-    return M.flats_of()
-
-
-def components(M: EmbeddedMatroid, S=None) -> tuple[tuple[int, ...], ...]:
-    return M.components_of(S)
-
-
-def vertical_connectivity(M: EmbeddedMatroid, S=None) -> int:
-    return M.vertical_connectivity(S)
-
-
-def circuits(M: EmbeddedMatroid, S=None, size_cap: int | None = None) -> list[tuple[int, ...]]:
-    return M.circuits(S, size_cap)
-
-
-def cocircuits_min_size(M: EmbeddedMatroid) -> int:
-    return M.cocircuits_min_size()
-
-
-def series_classes(M: EmbeddedMatroid) -> tuple[tuple[int, ...], ...]:
-    return M.series_classes()
-
-
-def is_free_element(M: EmbeddedMatroid, e: int) -> bool:
-    return M.is_free_element(e)
-
-
-def complement(M: EmbeddedMatroid, t: int | None = None) -> EmbeddedMatroid:
-    return M.complement(t)
-
-
-def direct_sum(M1: EmbeddedMatroid, M2: EmbeddedMatroid) -> EmbeddedMatroid:
-    return M1.direct_sum(M2)
-
-
-def si_contract(M: EmbeddedMatroid, e: int) -> EmbeddedMatroid:
-    return M.si_contract(e)
-
-
-def restrict_to_flat(M: EmbeddedMatroid, F) -> EmbeddedMatroid:
-    return M.restrict_to_flat(F)
-
-
-def connected_hyperplanes(M: EmbeddedMatroid) -> list[MatroidFlat]:
-    return M.connected_hyperplanes()

@@ -51,10 +51,7 @@ class FlatHandle:
 
     @property
     def mask(self) -> int:
-        m = 0
-        for i in self.members:
-            m |= 1 << i
-        return m
+        return self.space.mask_of(self.members)
 
 
 class PointSpace:

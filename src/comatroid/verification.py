@@ -8,8 +8,14 @@ import time
 from dataclasses import dataclass, field
 
 from .canonical import apply_linear_map, canonical_key
-from .catalog import circuit, four_hyperplane_family, named
-from .census import FIVE_VERTEX_GRAPHS, hyperplane_scan, minimal_non_comatroids
+from .catalog import TERNARY_RANK3_MINIMAL, circuit, four_hyperplane_family, named
+from .census import (
+    FIVE_VERTEX_GRAPHS,
+    SCAN_SEEDS,
+    hyperplane_scan,
+    minimal_non_comatroids,
+    status_table,
+)
 from .decide import decide_flat_criterion, decide_forbidden_flats, decide_recursive
 from .matroid import EmbeddedMatroid, embed
 from .linalg import random_invertible
@@ -38,22 +44,10 @@ class CriterionResult:
 
 
 class VerificationContext:
-    """Shared corpora reused across checks, chiefly comatroid status tables."""
+    """Settings shared across checks: the worker count for the extension scans."""
 
     def __init__(self, jobs: int = 1):
         self.jobs = max(1, int(jobs))
-        self._status: dict[tuple[int, int], bytearray] = {}
-
-    def status_table(self, r: int, q: int) -> bytearray:
-        """Comatroid verdict per green mask of PG(r-1, q)."""
-        got = self._status.get((r, q))
-        if got is None:
-            space = point_space(r, q)
-            got = bytearray(1 << space.n)
-            for m in range(1 << space.n):
-                got[m] = decide_recursive(EmbeddedMatroid(space, m)).is_comatroid
-            self._status[(r, q)] = got
-        return got
 
 
 # ----------------------------------------------------------------- criteria
@@ -64,7 +58,6 @@ def _c_decider_agreement(ctx: VerificationContext):
     ok = True
     for r, q in ((4, 2), (3, 3)):
         space = point_space(r, q)
-        table = bytearray(1 << space.n)
         mismatches = comatroids = 0
         for m in range(1 << space.n):
             M = EmbeddedMatroid(space, m)
@@ -73,9 +66,7 @@ def _c_decider_agreement(ctx: VerificationContext):
             c = decide_forbidden_flats(M).is_comatroid
             if not a == b == c:
                 mismatches += 1
-            table[m] = a
             comatroids += a
-        ctx._status[(r, q)] = table
         ok &= mismatches == 0
         parts.append(
             f"PG({r - 1},{q}): {1 << space.n} colorings, "
@@ -130,16 +121,8 @@ def _c_binary_rank4_census(ctx: VerificationContext):
 def _c_ternary_rank3_census(ctx: VerificationContext):
     report = minimal_non_comatroids(3, 3)
     pairs = _complement_pairs(report)
-    targets = {
-        "U(3,4)": circuit(4, 3),
-        "P(U23,U23)": named("P(U23,U23)"),
-        "U24+2U23": named("U24+2U23"),
-        "U24+2U24": named("R6"),
-        "P(U24,U23)": named("P(U24,U23)"),
-        "M(K4)": named("M(K4)"),
-        "W3": named("W3"),
-    }
-    target_keys = {canonical_key(embed(p)): name for name, p in targets.items()}
+    target_keys = {canonical_key(embed(named(name))): label
+                   for label, name in TERNARY_RANK3_MINIMAL.items()}
     ok = (len(report.classes) == 14 and pairs is not None and len(pairs) == 7
           and len(target_keys) == 7)
     matched = []
@@ -148,7 +131,7 @@ def _c_ternary_rank3_census(ctx: VerificationContext):
             hits = [target_keys[c.key] for c in pair if c.key in target_keys]
             ok &= bool(hits)
             matched.extend(hits)
-        ok &= set(matched) == set(targets)
+        ok &= set(matched) == set(TERNARY_RANK3_MINIMAL)
     detail = (f"{len(report.classes)} classes in "
               f"{0 if pairs is None else len(pairs)} pairs, matched: "
               f"{', '.join(sorted(set(matched)))}")
@@ -170,7 +153,7 @@ def _c_hyperplane_counts(ctx: VerificationContext):
 def _c_extension_scans(ctx: VerificationContext):
     parts = []
     ok = True
-    for name in ("m2-1", "m2-2", "extra-1", "extra-2"):
+    for name in SCAN_SEEDS:
         scan = hyperplane_scan(embed(named(name)), max_extra=10, jobs=ctx.jobs)
         spare = 31 - len(scan.seed_members)
         expected = sum(math.comb(spare, s) for s in range(11))
@@ -336,8 +319,10 @@ def _c_comatroid_closure(ctx: VerificationContext):
     ok = True
     for r, q in ((4, 2), (3, 3)):
         space = point_space(r, q)
-        status = ctx.status_table(r, q)
-        sub_status = ctx.status_table(r - 1, q)
+        # flat-criterion verdicts; decider-agreement checks that they equal the
+        # recursive ones on every coloring of this space and of its flats
+        status = status_table(r, q)
+        sub_status = status_table(r - 1, q)
         flats = [f for k in range(space.r) for f in space.flats_of_rank(k)]
         contractions = [space.contraction_map(e)[1] for e in range(space.n)]
         comatroids = flat_bad = contr_bad = comp_bad = vconn_bad = 0
@@ -351,10 +336,7 @@ def _c_comatroid_closure(ctx: VerificationContext):
                 if x != m and not status[x]:
                     flat_bad += 1
             for e in iter_bits(m):
-                mapping = contractions[e]
-                img = 0
-                for p in iter_bits(m ^ (1 << e)):
-                    img |= 1 << mapping[p]
+                img = space.translate_mask(m ^ (1 << e), contractions[e])
                 if not sub_status[img]:
                     contr_bad += 1
             comps = space.components_mask(m)

@@ -208,3 +208,10 @@ def test_enumerate_dedup_and_sampling():
     b = enumerate_colorings(big, lambda m: m.n <= 3, dedup=False,
                             samples=500, seed=9)
     assert a.classes == b.classes
+
+
+def test_dedup_capped_on_large_spaces():
+    # an orbit walk in PG(4,2) can visit about ten million masks
+    with pytest.raises(ResourceLimitError, match="deduplication capped"):
+        enumerate_colorings(point_space(5, 2), lambda m: True, dedup=True,
+                            samples=10)

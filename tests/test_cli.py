@@ -169,3 +169,7 @@ def test_canonical_disk_cache_round_trip(tmp_path, monkeypatch):
     files[0].write_text("zz\n")
     _key_memo.clear()
     assert canonical_key(M) == fresh
+    # parseable, but not the image of an 8-point spanning set
+    files[0].write_text("1\n")
+    _key_memo.clear()
+    assert canonical_key(M) == fresh

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from comatroid.catalog import catalog_names, circuit, circuit_with_u24, named
 from comatroid.decide import (
+    Verdict,
     decide_flat_criterion,
     decide_forbidden_flats,
     decide_recursive,
@@ -179,6 +180,26 @@ def test_tampered_certificates_fail():
     kind, side, members, entry = w.certificate
     bad = type(w)(w.is_comatroid, w.method, (kind, side, members, "M(C5)"))
     assert not verify_certificate(m, bad)
+
+
+@pytest.mark.parametrize("verdict", [
+    Verdict(False, "flat-criterion", None),
+    Verdict(False, "forbidden-flat", None),
+    Verdict(True, "no-such-method", None),
+    Verdict(False, "recursive", None),
+], ids=["negative-flat", "negative-forbidden", "unknown-method", "recursive"])
+def test_verdicts_without_certificate_fail(verdict):
+    assert not verify_certificate(embed(circuit(6, 2)), verdict)
+
+
+@pytest.mark.parametrize("verdict", [
+    Verdict(False, "forbidden-flat", ("witness",)),
+    Verdict(False, "flat-criterion", ("violating-flat",)),
+    Verdict(False, "flat-criterion", ("violating-flat", (99,))),
+    Verdict(False, "recursive", ("complement",)),
+], ids=["short-witness", "short-flat", "point-outside-space", "short-trace"])
+def test_malformed_certificates_fail(verdict):
+    assert not verify_certificate(embed(circuit(6, 2)), verdict)
 
 
 def test_forbidden_catalog_shape():
