@@ -10,7 +10,7 @@ from typing import Callable
 
 from .errors import CatalogError, ResourceLimitError, SimplicityError
 from .formats import loads_presentation
-from .linalg import Echelon, greedy_basis, normalize, vec_add, vec_scale
+from .linalg import Echelon, gf_rank, normalize, vec_add, vec_scale
 from .matroid import MatrixPresentation
 from .projective import point_space
 
@@ -50,24 +50,16 @@ def graph_cycle_matroid(edges, q: int) -> MatrixPresentation:
     return MatrixPresentation(q, tuple(cols), tuple(labels))
 
 
-def _column_rank(columns, q):
-    ech = Echelon(q, len(columns[0]))
-    for col in columns:
-        ech.insert(col)
-    return ech.rank
-
-
 def _trim_rows(pres: MatrixPresentation) -> MatrixPresentation:
     """Re-coordinatize onto a column basis so row count equals rank."""
     cols = pres.columns
     if not cols:
         return pres
-    basis = greedy_basis(cols, pres.q)
-    if len(basis) == len(cols[0]):
-        return pres
     ech = Echelon(pres.q, len(cols[0]))
-    for i in basis:
-        ech.insert(cols[i])
+    for c in cols:
+        ech.insert(c)
+    if ech.rank == len(cols[0]):
+        return pres
     new_cols = tuple(ech.coords(c) for c in cols)
     return MatrixPresentation(pres.q, new_cols, pres.labels)
 
@@ -111,7 +103,7 @@ def _basepoint_index(pres: MatrixPresentation, p) -> int:
 
 def _check_not_coloop(pres: MatrixPresentation, j: int) -> None:
     others = [c for i, c in enumerate(pres.columns) if i != j]
-    if _column_rank(others, pres.q) < _column_rank(pres.columns, pres.q):
+    if gf_rank(others, pres.q) < gf_rank(pres.columns, pres.q):
         raise ValueError("basepoint is a coloop")
 
 

@@ -275,12 +275,12 @@ def _induced_minor_list(q: int) -> dict[tuple, str]:
     return out
 
 
-def has_forbidden_induced_minor(M: EmbeddedMatroid, cat=None) -> bool:
+def has_forbidden_induced_minor(M: EmbeddedMatroid) -> bool:
     """True iff flat-restrictions and si-contractions reach a forbidden list member."""
     if M.rank > INDUCED_MINOR_RANK_CAP:
         raise ResourceLimitError(
             f"induced-minor search capped at rank {INDUCED_MINOR_RANK_CAP}, got {M.rank}")
-    listing = _induced_minor_list(M.q) if cat is None else cat
+    listing = _induced_minor_list(M.q)
     seen: set[tuple] = set()
     stack = [M.to_span()]
     while stack:

@@ -43,17 +43,17 @@ def is_zero(u: Vec) -> bool:
 class Echelon:
     """Row-style echelon basis over GF(q) supporting membership and coordinates.
 
-    Rows are kept reduced with recorded combinations, so coords() returns the
-    expression of a vector in terms of the originally inserted vectors.
+    The basis is the vectors whose insert() returned True. Rows are
+    kept reduced with recorded combinations of that basis, so coords()
+    returns the expression of a vector in terms of it.
     """
 
     def __init__(self, q: int, dim: int):
         self.q = check_field(q)
         self.dim = dim
         self.rows: list[Vec] = []
-        self.combos: list[Vec] = []  # combo[i][j]: coefficient of inserted vector j in row i
+        self.combos: list[Vec] = []  # combo[i][j]: coefficient of basis vector j in row i
         self.pivots: list[int] = []
-        self.inserted = 0
 
     def _reduce(self, vec: Vec, combo: Vec) -> tuple[Vec, Vec]:
         q = self.q
@@ -66,19 +66,17 @@ class Echelon:
         return vec, combo
 
     def insert(self, vec: Vec) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
-        n = self.inserted
-        combo = tuple(1 if i == n else 0 for i in range(n + 1))
-        self.combos = [c + (0,) for c in self.combos]
-        self.inserted += 1
-        vec, combo = self._reduce(vec, combo)
+        """Insert a vector; returns True if it enlarged the span and joined the basis."""
+        vec, combo = self._reduce(vec, (0,) * self.rank)
         if is_zero(vec):
             return False
+        combo += (1,)
         p = next(i for i, a in enumerate(vec) if a)
         if vec[p] != 1:
             inv = 2  # only for GF(3)
             vec = vec_scale(inv, vec, self.q)
             combo = vec_scale(inv, combo, self.q)
+        self.combos = [c + (0,) for c in self.combos]
         self.rows.append(vec)
         self.combos.append(combo)
         self.pivots.append(p)
@@ -89,12 +87,12 @@ class Echelon:
         return len(self.rows)
 
     def contains(self, vec: Vec) -> bool:
-        red, _ = self._reduce(vec, (0,) * self.inserted)
+        red, _ = self._reduce(vec, (0,) * self.rank)
         return is_zero(red)
 
     def coords(self, vec: Vec) -> Vec | None:
-        """Coefficients on the inserted vectors producing vec, or None."""
-        red, combo = self._reduce(vec, (0,) * self.inserted)
+        """Coefficients on the basis vectors producing vec, or None."""
+        red, combo = self._reduce(vec, (0,) * self.rank)
         if not is_zero(red):
             return None
         return tuple((self.q - c) % self.q for c in combo)
@@ -108,18 +106,6 @@ def gf_rank(vectors: Iterable[Vec], q: int, dim: int | None = None) -> int:
     for v in vectors:
         ech.insert(v)
     return ech.rank
-
-
-def greedy_basis(vectors: Sequence[Vec], q: int) -> list[int]:
-    """Indices of the first maximal independent subset, scanned in order."""
-    if not vectors:
-        return []
-    ech = Echelon(q, len(vectors[0]))
-    out = []
-    for i, v in enumerate(vectors):
-        if ech.insert(v):
-            out.append(i)
-    return out
 
 
 def mat_apply(mat: Sequence[Vec], vec: Vec, q: int) -> Vec:

@@ -404,17 +404,12 @@ def embed(pres: MatrixPresentation) -> EmbeddedMatroid:
         return EmbeddedMatroid(point_space(0, pres.q), 0)
     if any(not any(c) for c in cols):
         raise SimplicityError("zero column in presentation")
-    scan = Echelon(pres.q, pres.rows)
-    basis = [c for c in cols if scan.insert(c)]
-    if len(basis) == pres.rows:
-        coords = cols
-    else:
-        # trim to the row rank by re-coordinatizing over a column basis
-        ech = Echelon(pres.q, pres.rows)
-        for c in basis:
-            ech.insert(c)
-        coords = [ech.coords(c) for c in cols]
-    space = point_space(len(basis), pres.q)
+    ech = Echelon(pres.q, pres.rows)
+    for c in cols:
+        ech.insert(c)
+    # trim to the row rank by re-coordinatizing over a column basis
+    coords = cols if ech.rank == pres.rows else [ech.coords(c) for c in cols]
+    space = point_space(ech.rank, pres.q)
     green = 0
     labels = []
     for pos, c in enumerate(coords):

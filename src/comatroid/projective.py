@@ -2,8 +2,11 @@
 
 Points are normalized coordinate tuples (first nonzero coordinate 1) in
 lexicographic order, addressed by index. Point sets are int bitmasks over
-those indices. Spaces with at most 15 points additionally carry full
-closure/rank lookup tables, which the exhaustive searches rely on.
+those indices. Rank, closure and components all come from one step on
+indices: joining a point to a flat adds the point and the rest of each line
+through it and a point of the flat. Spaces with at most 15 points
+additionally carry full closure/rank lookup tables, which the exhaustive
+searches rely on.
 """
 
 from __future__ import annotations
@@ -72,10 +75,10 @@ class PointSpace:
         self.n = len(pts)
         self.index: dict[tuple[int, ...], int] = {p: i for i, p in enumerate(pts)}
         self.full_mask = (1 << self.n) - 1
-        self._sum_tables: dict[int, tuple[int, ...]] | None = None
+        # a rank-k flat has (q^k - 1)/(q - 1) points
+        self._rank_of_size = {(q**k - 1) // (q - 1): k for k in range(r + 1)}
         self._closure_table: list[int] | None = None
         self._rank_table: bytearray | None = None
-        self._rank_memo: dict[int, int] = {}
         self._closure_memo: dict[int, int] = {}
         self._components_memo: dict[int, tuple[int, ...]] = {}
         self._vc_memo: dict[int, int] = {}
@@ -107,19 +110,25 @@ class PointSpace:
             self._line_memo[key] = got
         return got
 
+    def _join(self, flat: int, x: int) -> int:
+        """The flat spanned by a flat and a point x outside it."""
+        new = flat | (1 << x)
+        for i in iter_bits(flat):
+            for extra in self.line_completions(i, x):
+                new |= 1 << extra
+        return new
+
+    def _span(self, points) -> int:
+        flat = 0
+        for x in points:
+            if not (flat >> x) & 1:
+                flat = self._join(flat, x)
+        return flat
+
     # ----------------------------------------------------------------- tables
 
     def _build_tables(self):
-        n, q = self.n, self.q
-        comp = [[()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                comp[i][j] = comp[j][i] = self.line_completions(i, j)
-        size_to_rank = {}
-        s = 0
-        for k in range(self.r + 1):
-            size_to_rank[s] = k
-            s = s * q + 1  # point count (q^k - 1)/(q - 1), built up one rank at a time
+        n = self.n
         cl = [0] * (1 << n)
         rk = bytearray(1 << n)
         for mask in range(1, 1 << n):
@@ -127,13 +136,9 @@ class PointSpace:
             x = low.bit_length() - 1
             c = cl[mask ^ low]
             if not (c >> x) & 1:
-                new = c | low
-                for i in iter_bits(c):
-                    for extra in comp[i][x]:
-                        new |= 1 << extra
-                c = new
+                c = self._join(c, x)
             cl[mask] = c
-            rk[mask] = size_to_rank[popcount(c)]
+            rk[mask] = self._rank_of_size[popcount(c)]
         self._closure_table = cl
         self._rank_table = rk
 
@@ -146,27 +151,14 @@ class PointSpace:
     def rank_of_mask(self, mask: int) -> int:
         if self._rank_table is not None:
             return self._rank_table[mask]
-        got = self._rank_memo.get(mask)
-        if got is None:
-            ech = Echelon(self.q, self.r)
-            for i in iter_bits(mask):
-                ech.insert(self.points[i])
-            got = ech.rank
-            self._rank_memo[mask] = got
-        return got
+        return self._rank_of_size[popcount(self.closure_mask(mask))]
 
     def closure_mask(self, mask: int) -> int:
         if self._closure_table is not None:
             return self._closure_table[mask]
         got = self._closure_memo.get(mask)
         if got is None:
-            ech = Echelon(self.q, self.r)
-            for i in iter_bits(mask):
-                ech.insert(self.points[i])
-            got = 0
-            for i, p in enumerate(self.points):
-                if ech.contains(p):
-                    got |= 1 << i
+            got = self._span(iter_bits(mask))
             self._closure_memo[mask] = got
         return got
 
@@ -202,18 +194,11 @@ class PointSpace:
         elif k == 1:
             got = tuple(1 << i for i in range(self.n))
         else:
-            prev = self.flats_of_rank(k - 1)
-            seen = set()
-            for f in prev:
-                for p in range(self.n):
-                    if (f >> p) & 1:
-                        continue
-                    new = f | (1 << p)
-                    for i in iter_bits(f):
-                        for extra in self.line_completions(i, p):
-                            new |= 1 << extra
-                    seen.add(new)
-            got = tuple(sorted(seen))
+            got = tuple(sorted({
+                self._join(f, p)
+                for f in self.flats_of_rank(k - 1)
+                for p in range(self.n) if not (f >> p) & 1
+            }))
         self._flats_by_rank[k] = got
         return got
 
@@ -241,39 +226,33 @@ class PointSpace:
         """Connected components of the restriction to mask, as masks.
 
         Elements share a component exactly when they are linked through
-        fundamental circuits of a fixed basis of the restriction.
+        fundamental circuits of a greedy basis B of the restriction, taken by
+        joins. Basis point b lies in the circuit of y exactly when y is outside
+        span(B - b), so b, together with the points of the mask outside that
+        co-span, lies in one component.
         """
         got = self._components_memo.get(mask)
         if got is not None:
             return got
-        idxs = list(iter_bits(mask))
-        parent = {i: i for i in idxs}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        ech = Echelon(self.q, self.r)
-        nonbasis = []
-        for i in idxs:
-            if not ech.insert(self.points[i]):
-                nonbasis.append(i)
-        # coords positions follow insertion order, i.e. idxs order
-        for y in nonbasis:
-            c = ech.coords(self.points[y])
-            ry = find(y)
-            for pos, coeff in enumerate(c):
-                if coeff:
-                    rb = find(idxs[pos])
-                    if rb != ry:
-                        parent[rb] = ry
-        blocks: dict[int, int] = {}
-        for i in idxs:
-            root = find(i)
-            blocks[root] = blocks.get(root, 0) | (1 << i)
-        got = tuple(sorted(blocks.values()))
+        basis = []
+        span = 0
+        for i in iter_bits(mask):
+            if not (span >> i) & 1:
+                span = self._join(span, i)
+                basis.append(i)
+        blocks: list[int] = []
+        for b in basis:
+            # co-spans skip _closure_memo, which would otherwise grow by |B| per mask
+            block = mask & ~self._span(x for x in basis if x != b)
+            rest = []
+            for other in blocks:
+                if other & block:
+                    block |= other
+                else:
+                    rest.append(other)
+            rest.append(block)
+            blocks = rest
+        got = tuple(sorted(blocks))
         self._components_memo[mask] = got
         return got
 
@@ -324,20 +303,12 @@ class PointSpace:
         if got is not None:
             return got
         members = list(iter_bits(flat_mask))
-        k = self.rank_of_mask(flat_mask)
-        sub = point_space(k, self.q)
-        scan = Echelon(self.q, self.r)
-        basis = [i for i in members if scan.insert(self.points[i])]
-        # fresh echelon over the basis alone so coords() has length exactly k
-        basis_ech = Echelon(self.q, self.r)
-        for i in basis:
-            basis_ech.insert(self.points[i])
-        mapping = {}
+        ech = Echelon(self.q, self.r)
         for i in members:
-            c = basis_ech.coords(self.points[i])
-            if c is None:
-                raise AssertionError("flat member outside its own span")
-            mapping[i] = sub.index[normalize(c, self.q)]
+            ech.insert(self.points[i])
+        sub = point_space(ech.rank, self.q)
+        # coords() are on the greedy basis, so they have length exactly its rank
+        mapping = {i: sub.index[normalize(ech.coords(self.points[i]), self.q)] for i in members}
         got = (sub, mapping)
         self._embeddings[flat_mask] = got
         return got
@@ -358,11 +329,8 @@ class PointSpace:
         if got is not None:
             return got
         sub = point_space(self.r - 1, self.q)
-        scan = Echelon(self.q, self.r)
-        order = [e] + [i for i in range(self.n) if i != e]
-        basis = [i for i in order if scan.insert(self.points[i])]
         ech = Echelon(self.q, self.r)
-        for i in basis:
+        for i in [e, *range(self.n)]:
             ech.insert(self.points[i])
         # coords in basis order with e first; the image drops the e-coordinate
         mapping: list[int | None] = []

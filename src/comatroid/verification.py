@@ -14,7 +14,6 @@ from .census import (
     SCAN_SEEDS,
     hyperplane_scan,
     minimal_non_comatroids,
-    status_table,
 )
 from .decide import decide_flat_criterion, decide_forbidden_flats, decide_recursive
 from .matroid import EmbeddedMatroid, embed
@@ -319,10 +318,13 @@ def _c_comatroid_closure(ctx: VerificationContext):
     ok = True
     for r, q in ((4, 2), (3, 3)):
         space = point_space(r, q)
-        # flat-criterion verdicts; decider-agreement checks that they equal the
-        # recursive ones on every coloring of this space and of its flats
-        status = status_table(r, q)
-        sub_status = status_table(r - 1, q)
+        sub = point_space(r - 1, q)
+        # recursive verdicts: flat-criterion ones would pass the flat and
+        # component checks by construction
+        status = [decide_recursive(EmbeddedMatroid(space, m)).is_comatroid
+                  for m in range(1 << space.n)]
+        sub_status = [decide_recursive(EmbeddedMatroid(sub, m)).is_comatroid
+                      for m in range(1 << sub.n)]
         flats = [f for k in range(space.r) for f in space.flats_of_rank(k)]
         contractions = [space.contraction_map(e)[1] for e in range(space.n)]
         comatroids = flat_bad = contr_bad = comp_bad = vconn_bad = 0

@@ -132,3 +132,12 @@ def brute_vertical_connectivity(space, idxs):
             if ra < rs and rb < rs:
                 best = min(best, ra + rb - rs + 1)
     return best
+
+
+# SHA-256 of minimal_non_comatroids(r, q).to_tsv(), pinned so any change to the
+# census output, including row order and labels, shows in tier-1
+CENSUS_TSV_SHA256 = {
+    (4, 2): "266b8b825d74e41cd9ef187327c4712055c7d2644ef126b63a89929aba627afa",
+    (3, 3): "5d9502d62e236bbf7ef67effbed07cd490c56907c3ba6d57f85d06905a4b6c85",
+    (4, 3): "4a4c075696fb1b2a14e68f8847667f3da3234b584b9840019e9c120a34eb4106",
+}

@@ -1,5 +1,7 @@
 """Tests for the minimal census, the hyperplane scan, and coloring enumeration."""
 
+import hashlib
+
 import pytest
 
 from comatroid.canonical import canonical_key
@@ -19,6 +21,8 @@ from comatroid.decide import (
 from comatroid.errors import ResourceLimitError
 from comatroid.matroid import EmbeddedMatroid, embed
 from comatroid.projective import point_space
+
+from oracles import CENSUS_TSV_SHA256
 
 
 def rebuild(space, cls):
@@ -104,6 +108,9 @@ def test_census_determinism():
     b = minimal_non_comatroids(3, 3)
     assert a.to_tsv() == b.to_tsv()
     assert a == b
+    for (r, q), digest in CENSUS_TSV_SHA256.items():
+        tsv = minimal_non_comatroids(r, q).to_tsv()
+        assert hashlib.sha256(tsv.encode()).hexdigest() == digest, (r, q)
 
 
 def test_tsv_shape():

@@ -11,7 +11,6 @@ from comatroid.linalg import (
     Echelon,
     check_field,
     gf_rank,
-    greedy_basis,
     is_invertible,
     mat_apply,
     normalize,
@@ -56,13 +55,14 @@ def test_normalize_scaling_invariant(v, s):
 @given(vs=vectors(3, 4))
 def test_echelon_coords_reconstruct(vs):
     ech = Echelon(3, 4)
-    for v in vs:
-        ech.insert(v)
+    basis = [v for v in vs if ech.insert(v)]
+    # the greedy basis is independent and spans every vector given
+    assert gf_rank(basis, 3, 4) == len(basis) == gf_rank(vs, 3, 4)
     for v in vs:
         c = ech.coords(v)
-        assert c is not None
+        assert c is not None and len(c) == len(basis)
         acc = (0, 0, 0, 0)
-        for coeff, w in zip(c, vs):
+        for coeff, w in zip(c, basis):
             acc = vec_add(acc, vec_scale(coeff, w, 3), 3)
         assert acc == v
 
@@ -84,8 +84,8 @@ def test_echelon_rank_matches_contains(vs):
 
 @given(vs=vectors(3, 3, max_count=6))
 def test_greedy_basis_is_independent_and_spanning(vs):
-    idxs = greedy_basis(vs, 3)
-    chosen = [vs[i] for i in idxs]
+    ech = Echelon(3, 3)
+    chosen = [v for v in vs if ech.insert(v)]
     assert gf_rank(chosen, 3, 3) == len(chosen) == gf_rank(vs, 3, 3)
 
 

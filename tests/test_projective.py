@@ -23,10 +23,13 @@ from oracles import (
 
 
 def masks(space, max_size=None):
-    pool = st.integers(0, (1 << space.n) - 1)
     if max_size is None:
-        return pool
-    return pool.filter(lambda m: bin(m).count("1") <= max_size)
+        return st.integers(0, (1 << space.n) - 1)
+    return st.sets(st.integers(0, space.n - 1), max_size=max_size).map(space.mask_of)
+
+
+# each oracle test checks a tabled space, then an untabled one with masks
+# capped at 7 points so the brute-force references stay fast
 
 
 @pytest.mark.parametrize("r,q", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (1, 3), (2, 3), (3, 3)])
@@ -64,23 +67,23 @@ def test_gaussian_binomial_values():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_closure_matches_brute_span_gf2(data):
-    space = point_space(4, 2)
-    mask = data.draw(masks(space))
-    idxs = list(space.members_of(mask))
-    got = space.closure_mask(mask)
-    assert set(space.members_of(got)) == brute_span_members(space, idxs)
-    assert space.rank_of_mask(mask) == brute_rank(space, idxs)
+    for space, cap in ((point_space(4, 2), None), (point_space(5, 2), 7)):
+        mask = data.draw(masks(space, max_size=cap))
+        idxs = list(space.members_of(mask))
+        got = space.closure_mask(mask)
+        assert set(space.members_of(got)) == brute_span_members(space, idxs)
+        assert space.rank_of_mask(mask) == brute_rank(space, idxs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_closure_matches_brute_span_gf3(data):
-    space = point_space(3, 3)
-    mask = data.draw(masks(space, max_size=6))
-    idxs = list(space.members_of(mask))
-    got = space.closure_mask(mask)
-    assert set(space.members_of(got)) == brute_span_members(space, idxs)
-    assert space.rank_of_mask(mask) == brute_rank(space, idxs)
+    for space, cap in ((point_space(3, 3), 6), (point_space(4, 3), 7)):
+        mask = data.draw(masks(space, max_size=cap))
+        idxs = list(space.members_of(mask))
+        got = space.closure_mask(mask)
+        assert set(space.members_of(got)) == brute_span_members(space, idxs)
+        assert space.rank_of_mask(mask) == brute_rank(space, idxs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -121,21 +124,21 @@ def test_flats_of_pg32_total():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_components_match_brute(data):
-    space = point_space(4, 2)
-    mask = data.draw(masks(space, max_size=8))
-    idxs = list(space.members_of(mask))
-    got = sorted(tuple(space.members_of(b)) for b in space.components_mask(mask))
-    assert got == brute_components(space, idxs)
+    for space, cap in ((point_space(4, 2), 8), (point_space(5, 2), 7)):
+        mask = data.draw(masks(space, max_size=cap))
+        idxs = list(space.members_of(mask))
+        got = sorted(tuple(space.members_of(b)) for b in space.components_mask(mask))
+        assert got == brute_components(space, idxs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_components_match_brute_gf3(data):
-    space = point_space(3, 3)
-    mask = data.draw(masks(space, max_size=6))
-    idxs = list(space.members_of(mask))
-    got = sorted(tuple(space.members_of(b)) for b in space.components_mask(mask))
-    assert got == brute_components(space, idxs)
+    for space, cap in ((point_space(3, 3), 6), (point_space(4, 3), 7)):
+        mask = data.draw(masks(space, max_size=cap))
+        idxs = list(space.members_of(mask))
+        got = sorted(tuple(space.members_of(b)) for b in space.components_mask(mask))
+        assert got == brute_components(space, idxs)
 
 
 def test_components_line_plus_point():
