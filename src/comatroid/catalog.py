@@ -10,8 +10,8 @@ from typing import Callable
 
 from .errors import CatalogError, ResourceLimitError, SimplicityError
 from .formats import loads_presentation
-from .linalg import Echelon, gf_rank, normalize, vec_add, vec_scale
-from .matroid import MatrixPresentation
+from .linalg import gf_rank, normalize, vec_add, vec_scale
+from .matroid import MatrixPresentation, _trim_rows
 from .projective import point_space
 
 
@@ -48,20 +48,6 @@ def graph_cycle_matroid(edges, q: int) -> MatrixPresentation:
         cols.append(tuple(col))
         labels.append(f"{u}{v}")
     return MatrixPresentation(q, tuple(cols), tuple(labels))
-
-
-def _trim_rows(pres: MatrixPresentation) -> MatrixPresentation:
-    """Re-coordinatize onto a column basis so row count equals rank."""
-    cols = pres.columns
-    if not cols:
-        return pres
-    ech = Echelon(pres.q, len(cols[0]))
-    for c in cols:
-        ech.insert(c)
-    if ech.rank == len(cols[0]):
-        return pres
-    new_cols = tuple(ech.coords(c) for c in cols)
-    return MatrixPresentation(pres.q, new_cols, pres.labels)
 
 
 def _move_to_unit(columns, q, j, pos):

@@ -7,9 +7,10 @@ coloring enumerator underpins the exhaustive property checks.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .canonical import canonical_key
 from .catalog import TERNARY_RANK3_MINIMAL, circuit_with_u24, named
@@ -277,34 +278,42 @@ class ExtensionScan:
         return "\n".join(lines) + "\n"
 
 
-def _scan_tables(space: PointSpace, green0: int, ext: tuple[int, ...]):
-    """Per-hyperplane lookup tables indexed by the local extra-point submask.
+def _scan_tables(space: PointSpace, green0: int, ext: tuple[int, ...],
+                 max_extra: int):
+    """Per-hyperplane lookup tables, built once per scan, to the scan's depth.
 
     For hyperplane H the green side of seed + S meets H in a set determined
     by S's trace on H, and the red side is the untouched part of that trace's
-    complement within H; both rank-4 connectivity verdicts are tabulated.
+    complement within H; both rank-4 connectivity verdicts are tabulated,
+    indexed by the local submask of that trace. A trace has no more points
+    than its extension, so only local submasks of at most max_extra points
+    are filled. Alongside come, for each spare point, the (hyperplane, local
+    bit) pairs it sets, and for each hyperplane the spare points off it.
     """
-    hyperplanes = space.flats_of_rank(space.r - 1)
-    ext_pos = {p: k for k, p in enumerate(ext)}
-    tables = []
-    for hmask in hyperplanes:
-        local = tuple(p for p in ext if (hmask >> p) & 1)
+    green_tables, red_tables, offmasks = [], [], []
+    contributions = [[] for _ in ext]
+    for h, hmask in enumerate(space.flats_of_rank(space.r - 1)):
+        local = tuple(k for k, p in enumerate(ext) if (hmask >> p) & 1)
         gseed = green0 & hmask
-        eh_full = sum(1 << p for p in local)
+        eh_full = sum(1 << ext[k] for k in local)
         gt = bytearray(1 << len(local))
         rt = bytearray(1 << len(local))
-        for sub in range(1 << len(local)):
-            picked = sum(1 << local[t] for t in iter_bits(sub))
-            x = gseed | picked
-            gt[sub] = (space.rank_of_mask(x) == space.r - 1
-                       and space.is_connected_mask(x))
-            y = eh_full ^ picked
-            rt[sub] = (space.rank_of_mask(y) == space.r - 1
-                       and space.is_connected_mask(y))
-        bit_of = {ext_pos[p]: t for t, p in enumerate(local)}
-        offmask = sum(1 << ext_pos[p] for p in ext if not (hmask >> p) & 1)
-        tables.append((gt, rt, bit_of, offmask))
-    return tables
+        for size in range(min(max_extra, len(local)) + 1):
+            for combo in itertools.combinations(range(len(local)), size):
+                sub = sum(1 << t for t in combo)
+                picked = sum(1 << ext[local[t]] for t in combo)
+                x = gseed | picked
+                gt[sub] = (space.rank_of_mask(x) == space.r - 1
+                           and space.is_connected_mask(x))
+                y = eh_full ^ picked
+                rt[sub] = (space.rank_of_mask(y) == space.r - 1
+                           and space.is_connected_mask(y))
+        for t, k in enumerate(local):
+            contributions[k].append((h, 1 << t))
+        green_tables.append(gt)
+        red_tables.append(rt)
+        offmasks.append(((1 << len(ext)) - 1) ^ sum(1 << k for k in local))
+    return green_tables, red_tables, contributions, offmasks
 
 
 def _gosper_masks(width: int, size: int):
@@ -323,59 +332,56 @@ def _gosper_masks(width: int, size: int):
         mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
-def _scan_block(space: PointSpace, green0: int, ext: tuple[int, ...],
-                tables, max_extra: int, prefix_bits: int, pattern: int):
-    """Scan all extensions whose trace on the first prefix_bits equals pattern."""
-    contributions = [[] for _ in ext]
-    for h, (_, _, bit_of, _) in enumerate(tables):
-        for k, t in bit_of.items():
-            contributions[k].append((h, 1 << t))
-    n_h = len(tables)
+def _red_count(space: PointSpace, green0: int, ext: tuple[int, ...], tables,
+               smask: int, idx: list[int]) -> int:
+    """Connected hyperplanes of the red side of seed + smask.
+
+    When the red side lies inside one hyperplane it does not span, and its
+    hyperplanes are its own lower-rank flats, so it is counted directly.
+    """
+    _, red_tables, _, offmasks = tables
+    if any(smask & off == off for off in offmasks):
+        red = sum(1 << p for k, p in enumerate(ext) if not (smask >> k) & 1)
+        return len(EmbeddedMatroid(space, red).connected_hyperplanes())
+    return sum(rt[x] for rt, x in zip(red_tables, idx))
+
+
+def _scan_block(r: int, green0: int, ext: tuple[int, ...], tables,
+                max_extra: int, prefix_bits: int, pattern: int):
+    """Scan all extensions whose trace on the first prefix_bits equals pattern.
+
+    Runs in the caller or in a pool worker alike, on the tables it is given.
+    """
+    space = point_space(r, 2)
+    green_tables, _, contributions, _ = tables
     survivors = []
     scanned = 0
     j_computed = 0
-    base_size = popcount(pattern)
-    rest_width = len(ext) - prefix_bits
-    for size in range(max_extra - base_size + 1):
-        for tail in _gosper_masks(rest_width, size):
-            smask = pattern | (tail << prefix_bits)
-            scanned += 1
-            idx = [0] * n_h
-            rest = smask
-            while rest:
-                low = rest & -rest
-                for h, bit in contributions[low.bit_length() - 1]:
-                    idx[h] |= bit
-                rest ^= low
-            i = 0
-            for h in range(n_h):
-                i += tables[h][0][idx[h]]
-            if i >= GREEN_HYPERPLANE_BOUND:
-                continue
-            j_computed += 1
-            confined = any(smask & off == off for _, _, _, off in tables)
-            if confined:
-                red = space.full_mask & ~green0
-                for k in iter_bits(smask):
-                    red &= ~(1 << ext[k])
-                mc = EmbeddedMatroid(space, red)
-                j = len(mc.connected_hyperplanes())
-            else:
-                j = 0
-                for h in range(n_h):
-                    j += tables[h][1][idx[h]]
-            if i + j < TOTAL_HYPERPLANE_BOUND:
-                survivors.append((smask, i, j))
+    try:
+        for size in range(max_extra - popcount(pattern) + 1):
+            for tail in _gosper_masks(len(ext) - prefix_bits, size):
+                smask = pattern | (tail << prefix_bits)
+                scanned += 1
+                idx = [0] * len(green_tables)
+                rest = smask
+                while rest:
+                    low = rest & -rest
+                    for h, bit in contributions[low.bit_length() - 1]:
+                        idx[h] |= bit
+                    rest ^= low
+                i = 0
+                for gt, x in zip(green_tables, idx):
+                    i += gt[x]
+                if i >= GREEN_HYPERPLANE_BOUND:
+                    continue
+                j_computed += 1
+                j = _red_count(space, green0, ext, tables, smask, idx)
+                if i + j < TOTAL_HYPERPLANE_BOUND:
+                    survivors.append((smask, i, j))
+    except Exception as exc:
+        raise RuntimeError(f"scan block with prefix pattern {pattern} "
+                           f"over {prefix_bits} spare points failed: {exc!r}") from exc
     return survivors, scanned, j_computed
-
-
-def _scan_worker(args):
-    r, q, green0, max_extra, prefix_bits, pattern = args
-    space = point_space(r, q)
-    ext = tuple(p for p in range(space.n) if not (green0 >> p) & 1)
-    tables = _scan_tables(space, green0, ext)
-    return _scan_block(space, green0, ext, tables, max_extra,
-                       prefix_bits, pattern)
 
 
 def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
@@ -384,7 +390,9 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
 
     An extension survives when its green hyperplane count i stays below 26
     and, with the complement's count j, i + j stays below 32; j is skipped
-    whenever i alone already disqualifies the extension.
+    whenever i alone already disqualifies the extension. The tables are built
+    once, here, to depth max_extra; they give the seed record too, and every
+    block, in this process or a pool worker, reads them.
     """
     m = seed.to_span()
     if m.q != 2 or m.space.r != 5:
@@ -392,35 +400,23 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     space = m.space
     green0 = m.green_mask
     ext = tuple(p for p in range(space.n) if not (green0 >> p) & 1)
-    if max_extra > len(ext):
-        raise ValueError(f"max_extra {max_extra} exceeds {len(ext)} spare points")
-    seed_i = len(m.connected_hyperplanes())
+    if not 0 <= max_extra <= len(ext):
+        raise ValueError(f"max_extra {max_extra} outside 0..{len(ext)} spare points")
+    tables = _scan_tables(space, green0, ext, max_extra)
+    seed_i = sum(gt[0] for gt in tables[0])
     seed_j = None
     if seed_i < GREEN_HYPERPLANE_BOUND:
-        seed_j = len(m.complement().connected_hyperplanes())
-    if max_extra == 0:
-        survivors = ()
-        if seed_j is not None and seed_i + seed_j < TOTAL_HYPERPLANE_BOUND:
-            survivors = (((), seed_i, seed_j),)
-        return ExtensionScan(m.elements, 0, seed_i, seed_j, survivors,
-                             1, int(seed_j is not None))
-    prefix_bits = 0
-    while (1 << prefix_bits) < jobs:
-        prefix_bits += 1
-    prefix_bits = min(prefix_bits, len(ext))
-    blocks = [(space.r, space.q, green0, max_extra, prefix_bits, pattern)
-              for pattern in range(1 << prefix_bits)
-              if popcount(pattern) <= max_extra]
+        seed_j = _red_count(space, green0, ext, tables, 0, [0] * len(tables[0]))
+    # the fewest prefix bits that give every job a block
+    prefix_bits = min(max(jobs - 1, 0).bit_length(), len(ext))
+    block = partial(_scan_block, space.r, green0, ext, tables, max_extra, prefix_bits)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_worker, blocks))
+            results = list(pool.map(block, range(1 << prefix_bits)))
     else:
-        tables = _scan_tables(space, green0, ext)
-        results = [_scan_block(space, green0, ext, tables, max_extra,
-                               prefix_bits, pattern)
-                   for *_, prefix_bits, pattern in blocks]
+        results = list(map(block, range(1 << prefix_bits)))
     survivors = []
     scanned = 0
     j_computed = 0

@@ -49,14 +49,6 @@ class MatrixPresentation:
 
 
 @dataclass(frozen=True)
-class Partition2:
-    """An ordered bipartition of a point set, used as a separation witness."""
-
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class MatroidFlat:
     """A flat of an embedded matroid: its members and minimal projective span."""
 
@@ -393,26 +385,32 @@ class EmbeddedMatroid:
         return EmbeddedMatroid(sub, m.space.translate_mask(m.green_mask & ~(1 << e), mapping))
 
 
+def _trim_rows(pres: MatrixPresentation) -> MatrixPresentation:
+    """Re-coordinatize onto a column basis so row count equals rank."""
+    ech = Echelon(pres.q, pres.rows)
+    for c in pres.columns:
+        ech.insert(c)
+    if ech.rank == pres.rows:
+        return pres
+    return MatrixPresentation(pres.q, tuple(ech.coords(c) for c in pres.columns),
+                              pres.labels)
+
+
 def embed(pres: MatrixPresentation) -> EmbeddedMatroid:
     """Embed a matrix presentation into PG(rank-1, q) as a green point set.
 
     The columns are re-coordinatized over a basis of the column space, so the
     ambient rank always equals the rank of the matrix.
     """
-    cols = pres.columns
-    if not cols:
+    if not pres.columns:
         return EmbeddedMatroid(point_space(0, pres.q), 0)
-    if any(not any(c) for c in cols):
+    if any(not any(c) for c in pres.columns):
         raise SimplicityError("zero column in presentation")
-    ech = Echelon(pres.q, pres.rows)
-    for c in cols:
-        ech.insert(c)
-    # trim to the row rank by re-coordinatizing over a column basis
-    coords = cols if ech.rank == pres.rows else [ech.coords(c) for c in cols]
-    space = point_space(ech.rank, pres.q)
+    pres = _trim_rows(pres)
+    space = point_space(pres.rows, pres.q)
     green = 0
     labels = []
-    for pos, c in enumerate(coords):
+    for pos, c in enumerate(pres.columns):
         p = space.index[normalize(c, pres.q)]
         if (green >> p) & 1:
             raise SimplicityError(f"columns {pos} and an earlier column are projectively equal")

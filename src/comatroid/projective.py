@@ -142,10 +142,6 @@ class PointSpace:
         self._closure_table = cl
         self._rank_table = rk
 
-    @property
-    def has_tables(self) -> bool:
-        return self._rank_table is not None
-
     # ------------------------------------------------------------ rank/closure
 
     def rank_of_mask(self, mask: int) -> int:
@@ -184,15 +180,8 @@ class PointSpace:
             got = (0,)
         elif k == self.r:
             got = (self.full_mask,)
-        elif self._closure_table is not None:
-            got = tuple(
-                m for m in range(1 << self.n)
-                if self._closure_table[m] == m and self._rank_table[m] == k
-            )
         elif k == self.r - 1:
             got = self._hyperplanes_by_duality()
-        elif k == 1:
-            got = tuple(1 << i for i in range(self.n))
         else:
             got = tuple(sorted({
                 self._join(f, p)

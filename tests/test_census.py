@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from comatroid import census
 from comatroid.canonical import canonical_key
 from comatroid.catalog import circuit, named
 from comatroid.census import (
@@ -136,6 +137,14 @@ def test_f77_scan_records_seed_counts():
     assert scan.survivors == ()
     assert scan.scanned == 1
     assert scan.j_computed == 0
+    # the seed record is read off the scan tables; it must match a direct count
+    m = embed(named("m2-1")).to_span()
+    scan = hyperplane_scan(m, 0)
+    assert (scan.seed_i, scan.seed_j) == (16, 30)
+    assert scan.seed_i == len(m.connected_hyperplanes())
+    assert scan.seed_j == len(m.complement().connected_hyperplanes())
+    assert scan.scanned == 1
+    assert scan.j_computed == 1
 
 
 def test_seed_scan_small_depth():
@@ -154,10 +163,19 @@ def _binom(n, k):
 
 
 def test_scan_determinism_across_workers():
-    seed = embed(named("extra-1"))
-    one = hyperplane_scan(seed, 3, jobs=1)
-    two = hyperplane_scan(seed, 3, jobs=2)
-    assert one == two
+    for name in ("extra-1", "f77"):
+        seed = embed(named(name))
+        for max_extra in (0, 1, 3):
+            one = hyperplane_scan(seed, max_extra, jobs=1)
+            two = hyperplane_scan(seed, max_extra, jobs=2)
+            assert one == two, (name, max_extra)
+
+
+def test_scan_block_error_names_block(monkeypatch):
+    monkeypatch.setattr(census, "_gosper_masks", lambda width, size: 1 // 0)
+    with pytest.raises(RuntimeError, match="prefix pattern 0") as info:
+        hyperplane_scan(embed(named("m2-1")), 1, jobs=1)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_scan_rejects_bad_seed():
@@ -165,6 +183,8 @@ def test_scan_rejects_bad_seed():
         hyperplane_scan(embed(circuit(4, 2)), 2)
     with pytest.raises(ValueError):
         hyperplane_scan(embed(named("f77")), 30)
+    with pytest.raises(ValueError):
+        hyperplane_scan(embed(named("m2-1")), -1)
 
 
 def test_rank5_cross_check():
