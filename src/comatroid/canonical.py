@@ -11,6 +11,13 @@ basis. Points whose support lies in the last j coordinates occupy a contiguous
 run of low indices, so each basis choice determines the image on a full prefix
 of the point order, which the search compares against the best known image to
 prune early.
+
+The search never touches coordinates. A nonzero vector s * point[p] is coded
+as the integer p * (q - 1) + s - 1, so scaling by c is code ^ (c - 1), and
+one sum table per space, built lazily from vec_add the first time the space
+is keyed, gives the code of the sum of two coded vectors. Each flag position
+then costs one table read: its image is the new basis image plus a scaled
+image of a lower flag point, and its point is code // (q - 1).
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ MAX_CANONICAL_RANK = 6
 CACHE_DIR_VAR = "COMATROID_CACHE_DIR"
 # Part of every disk-cache file name: raise it whenever the key's order or
 # search changes, so files written by an older version are never read.
+# tests/oracles.py pins a digest of keys (CANONICAL_KEY_SHA256); changing
+# that pin means raising CACHE_VERSION.
 CACHE_VERSION = 1
 
 _key_memo: dict[tuple[int, int, int], tuple] = {}
@@ -72,26 +81,43 @@ def _cache_write(path: Path | None, best: int) -> None:
 
 @lru_cache(maxsize=None)
 def _flag_table(r: int, q: int):
-    """Per-point decomposition against the reversed-standard-basis flag.
+    """Per-level decomposition of the points against the reversed-standard-basis flag.
 
-    Entry i is (start, c, low): point i equals t_level + c * point[low], where
-    t_level is the flag vector at the point's level and start is the first
-    index of that level; low is None when the residual vanishes.
+    Entry depth - 1 is (prefix, steps): prefix masks the points of the lower
+    levels, and steps lists (i, 1 << i, slot, flip) for each point i of the
+    level. Point i equals t_level + c * point[low], where t_level is the flag
+    vector of the level; slot is low and flip is c - 1, or slot is n and flip
+    0 when the residual vanishes, n being the slot of the zero vector.
     """
     space = point_space(r, q)
     sizes = [((q**j - 1) // (q - 1)) for j in range(r + 1)]
-    table = []
-    for i, v in enumerate(space.points):
-        pos = next(a for a in range(r) if v[a])
-        level = r - pos
-        start = sizes[level - 1]
-        u = (0,) * pos + (0,) + v[pos + 1 :]
-        if not any(u):
-            table.append((start, 0, None))
-        else:
-            c = next(a for a in u if a)
-            table.append((start, c, space.index[normalize(u, q)]))
-    return tuple(table), tuple(sizes)
+    levels = []
+    for depth in range(1, r + 1):
+        steps = []
+        for i in range(sizes[depth - 1], sizes[depth]):
+            v = space.points[i]
+            u = (0,) * (r - depth + 1) + v[r - depth + 1 :]
+            if not any(u):
+                steps.append((i, 1 << i, space.n, 0))
+            else:
+                c = next(a for a in u if a)
+                steps.append((i, 1 << i, space.index[normalize(u, q)], c - 1))
+        levels.append(((1 << sizes[depth - 1]) - 1, tuple(steps)))
+    return tuple(levels)
+
+
+@lru_cache(maxsize=None)
+def _code_sums(r: int, q: int) -> list[int]:
+    """Sums of coded vectors: entry a * (N + 1) + b is the code of vec(a) + vec(b).
+
+    Code p * (q - 1) + s - 1 stands for s * point[p], and code N = n * (q - 1)
+    for the zero vector. PG(5,3) has 729 codes and so 531,441 entries.
+    """
+    space = point_space(r, q)
+    vecs = [vec_scale(s, p, q) for p in space.points for s in range(1, q)]
+    vecs.append((0,) * r)
+    code = {v: c for c, v in enumerate(vecs)}
+    return [code[vec_add(a, b, q)] for a in vecs for b in vecs]
 
 
 def canonical_key(M: EmbeddedMatroid) -> tuple:
@@ -115,52 +141,58 @@ def canonical_key(M: EmbeddedMatroid) -> tuple:
         result = (q, r, cached)
         _key_memo[memo_key] = result
         return result
-    table, sizes = _flag_table(r, q)
+    levels = _flag_table(r, q)
+    sums = _code_sums(r, q)
+    width = q - 1
+    stride = space.n * width + 1
     green = m.green_mask
+    # the point bit of each code's point if it is green, else 0
+    green_bit = [green & (1 << (c // width)) for c in range(stride)]
     members = list(iter_bits(green))
-    pts = space.points
-    index = space.index
     best: list[int | None] = [None]
 
-    def extend(depth, img, pre_vec, pre_pts):
-        start, stop = sizes[depth - 1], sizes[depth]
+    # codes[i] codes the image of flag point i on the current search path;
+    # a level reads only the slots of lower levels, so one list serves all
+    codes = [0] * space.n + [stride - 1]
+
+    def extend(depth, img, span_green):
+        prefix, steps = levels[depth - 1]
         # a global scalar does not move points, so the first scaling is fixed
-        scalars = (1,) if q == 2 or depth == 1 else tuple(range(1, q))
+        flips = (0,) if q == 2 or depth == 1 else (0, 1)
         for g in members:
-            if g in pre_pts:
+            if (span_green >> g) & 1:
                 continue
-            for d in scalars:
-                if best[0] is None:
+            for flip_g in flips:
+                b = best[0]
+                if b is None:
                     ahead = True
                 else:
-                    diff = (img ^ best[0]) & ((1 << start) - 1)
+                    diff = (img ^ b) & prefix
                     if diff and not img & (diff & -diff):
                         return
                     ahead = bool(diff)
-                vec_g = pts[g] if d == 1 else vec_scale(d, pts[g], q)
-                new_vec = list(pre_vec)
-                new_pts = set(pre_pts)
+                row = (g * width + flip_g) * stride
+                new_span = span_green
                 grown = img
-                for i in range(start, stop):
-                    _, c, low = table[i]
-                    w = vec_g if low is None else vec_add(vec_g, vec_scale(c, pre_vec[low], q), q)
-                    p = index[normalize(w, q)]
-                    new_vec.append(w)
-                    new_pts.add(p)
-                    if (green >> p) & 1:
-                        grown |= 1 << i
-                        if not ahead and not (best[0] >> i) & 1:
+                for i, ibit, slot, flip in steps:
+                    w = sums[row + (codes[slot] ^ flip)]
+                    codes[i] = w
+                    bit = green_bit[w]
+                    if bit:
+                        grown |= ibit
+                        new_span |= bit
+                        if not ahead and not b & ibit:
                             ahead = True
-                    elif not ahead and (best[0] >> i) & 1:
+                    elif not ahead and b & ibit:
                         break
                 else:
                     if depth == r:
-                        if best[0] is None or _mask_less(grown, best[0]):
+                        if b is None or _mask_less(grown, b):
                             best[0] = grown
                     else:
-                        extend(depth + 1, grown, new_vec, new_pts)
+                        extend(depth + 1, grown, new_span)
 
-    extend(1, 0, [], set())
+    extend(1, 0, 0)
     result = (q, r, best[0])
     _key_memo[memo_key] = result
     _cache_write(disk, best[0])

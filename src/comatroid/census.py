@@ -288,9 +288,9 @@ def _scan_tables(space: PointSpace, green0: int, ext: tuple[int, ...],
     indexed by the local submask of that trace. A trace has no more points
     than its extension, so only local submasks of at most max_extra points
     are filled. Alongside come, for each spare point, the (hyperplane, local
-    bit) pairs it sets, and for each hyperplane the spare points off it.
+    bit) pairs it sets.
     """
-    green_tables, red_tables, offmasks = [], [], []
+    green_tables, red_tables = [], []
     contributions = [[] for _ in ext]
     for h, hmask in enumerate(space.flats_of_rank(space.r - 1)):
         local = tuple(k for k, p in enumerate(ext) if (hmask >> p) & 1)
@@ -312,8 +312,7 @@ def _scan_tables(space: PointSpace, green0: int, ext: tuple[int, ...],
             contributions[k].append((h, 1 << t))
         green_tables.append(gt)
         red_tables.append(rt)
-        offmasks.append(((1 << len(ext)) - 1) ^ sum(1 << k for k in local))
-    return green_tables, red_tables, contributions, offmasks
+    return green_tables, red_tables, contributions
 
 
 def _gosper_masks(width: int, size: int):
@@ -332,34 +331,33 @@ def _gosper_masks(width: int, size: int):
         mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
-def _red_count(space: PointSpace, green0: int, ext: tuple[int, ...], tables,
-               smask: int, idx: list[int]) -> int:
-    """Connected hyperplanes of the red side of seed + smask.
+def _red_count(red_tables, idx: list[int]) -> int:
+    """Connected hyperplanes of the red side, read off the red tables.
 
-    When the red side lies inside one hyperplane it does not span, and its
-    hyperplanes are its own lower-rank flats, so it is counted directly.
+    The tables count hyperplanes of the whole space, which is right only when
+    the red side spans it, and it does whenever j is asked for. Were the red
+    side inside one hyperplane H, the green side would hold the 16 points off
+    H. Every other hyperplane H' meets those in an AG(3,2), which is connected
+    and spans H', so its green trace, that AG(3,2) plus points of its span, is
+    connected and spanning too. Then i >= 30 > GREEN_HYPERPLANE_BOUND, for the
+    seed record as for any extension, and j is never computed.
     """
-    _, red_tables, _, offmasks = tables
-    if any(smask & off == off for off in offmasks):
-        red = sum(1 << p for k, p in enumerate(ext) if not (smask >> k) & 1)
-        return len(EmbeddedMatroid(space, red).connected_hyperplanes())
     return sum(rt[x] for rt, x in zip(red_tables, idx))
 
 
-def _scan_block(r: int, green0: int, ext: tuple[int, ...], tables,
-                max_extra: int, prefix_bits: int, pattern: int):
-    """Scan all extensions whose trace on the first prefix_bits equals pattern.
+def _scan_block(spare: int, tables, max_extra: int, prefix_bits: int,
+                pattern: int):
+    """Scan every extension whose trace on the first prefix_bits spare points is pattern.
 
     Runs in the caller or in a pool worker alike, on the tables it is given.
     """
-    space = point_space(r, 2)
-    green_tables, _, contributions, _ = tables
+    green_tables, red_tables, contributions = tables
     survivors = []
     scanned = 0
     j_computed = 0
     try:
         for size in range(max_extra - popcount(pattern) + 1):
-            for tail in _gosper_masks(len(ext) - prefix_bits, size):
+            for tail in _gosper_masks(spare - prefix_bits, size):
                 smask = pattern | (tail << prefix_bits)
                 scanned += 1
                 idx = [0] * len(green_tables)
@@ -375,7 +373,7 @@ def _scan_block(r: int, green0: int, ext: tuple[int, ...], tables,
                 if i >= GREEN_HYPERPLANE_BOUND:
                     continue
                 j_computed += 1
-                j = _red_count(space, green0, ext, tables, smask, idx)
+                j = _red_count(red_tables, idx)
                 if i + j < TOTAL_HYPERPLANE_BOUND:
                     survivors.append((smask, i, j))
     except Exception as exc:
@@ -406,10 +404,10 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     seed_i = sum(gt[0] for gt in tables[0])
     seed_j = None
     if seed_i < GREEN_HYPERPLANE_BOUND:
-        seed_j = _red_count(space, green0, ext, tables, 0, [0] * len(tables[0]))
+        seed_j = _red_count(tables[1], [0] * len(tables[1]))
     # the fewest prefix bits that give every job a block
     prefix_bits = min(max(jobs - 1, 0).bit_length(), len(ext))
-    block = partial(_scan_block, space.r, green0, ext, tables, max_extra, prefix_bits)
+    block = partial(_scan_block, len(ext), tables, max_extra, prefix_bits)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -5,6 +5,7 @@ enumeration, textbook definitions) without touching the library's own rank,
 closure, or connectivity machinery.
 """
 
+import functools
 import itertools
 
 
@@ -134,6 +135,54 @@ def brute_vertical_connectivity(space, idxs):
     return best
 
 
+def _mat_vec(mat, v, q):
+    return tuple(sum(a * b for a, b in zip(row, v)) % q for row in mat)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_point_permutations(space):
+    """The point permutations induced by all of GL(r, q), each once.
+
+    Scalar multiples of a matrix induce the same permutation, so only
+    matrices whose first nonzero entry is 1 are tried. A matrix is
+    invertible iff it sends no point to zero and no two points to one point.
+    """
+    q, r = space.q, space.r
+    perms = []
+    for flat in itertools.product(range(q), repeat=r * r):
+        if not any(flat) or norm_point(flat, q) != flat:
+            continue
+        mat = [flat[i * r:(i + 1) * r] for i in range(r)]
+        images = [_mat_vec(mat, p, q) for p in space.points]
+        if not all(any(v) for v in images):
+            continue
+        perm = tuple(space.index[norm_point(v, q)] for v in images)
+        if len(set(perm)) == space.n:
+            perms.append(perm)
+    return tuple(perms)
+
+
+def _precedes(a, b):
+    """True iff the lowest bit where a and b differ is set in a."""
+    i = 0
+    while (a >> i) & 1 == (b >> i) & 1:
+        i += 1
+    return bool((a >> i) & 1)
+
+
+def brute_canonical_mask(space, green):
+    """Least image of a green mask over all of GL(r, q).
+
+    A mask precedes another when the lowest differing bit belongs to it.
+    """
+    best = None
+    for perm in _brute_point_permutations(space):
+        img = sum(1 << perm[p] for p in range(space.n) if (green >> p) & 1)
+        if best is None or (img != best and _precedes(img, best)):
+            best = img
+    return best
+
+
 # SHA-256 of minimal_non_comatroids(r, q).to_tsv(), pinned so any change to the
 # census output, including row order and labels, shows in tier-1
 CENSUS_TSV_SHA256 = {
@@ -141,3 +190,8 @@ CENSUS_TSV_SHA256 = {
     (3, 3): "5d9502d62e236bbf7ef67effbed07cd490c56907c3ba6d57f85d06905a4b6c85",
     (4, 3): "4a4c075696fb1b2a14e68f8847667f3da3234b584b9840019e9c120a34eb4106",
 }
+
+# SHA-256 of canonical keys over the seeded sample that
+# tests/test_canonical.py draws; changing it means raising
+# canonical.CACHE_VERSION, since disk-cached keys would go stale
+CANONICAL_KEY_SHA256 = "3207f62abfa92b51c59f5f4df3bb7834ba4daa5c36d6e4cda5a13945e97cec23"

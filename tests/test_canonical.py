@@ -1,12 +1,15 @@
 """Tests for canonical keys under projective equivalence."""
 
+import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from comatroid.canonical import (
+    CACHE_DIR_VAR,
+    _key_memo,
     apply_linear_map,
     canonical_key,
     is_isomorphic,
@@ -16,6 +19,8 @@ from comatroid.errors import ResourceLimitError
 from comatroid.linalg import random_invertible
 from comatroid.matroid import EmbeddedMatroid, MatrixPresentation, embed
 from comatroid.projective import point_space
+
+from oracles import CANONICAL_KEY_SHA256, brute_canonical_mask, brute_rank
 
 
 def circuit_presentation(k, q=2, shuffle_seed=None):
@@ -100,3 +105,39 @@ def test_isomorphic_circuits_of_different_presentations():
     assert is_isomorphic(a, b)
     c = embed(circuit_presentation(5))
     assert not is_isomorphic(a, c)
+
+
+def test_key_is_least_image_pg22():
+    space = point_space(3, 2)
+    for mask in range(1, 1 << space.n):
+        members = [p for p in range(space.n) if (mask >> p) & 1]
+        if brute_rank(space, members) == 3:
+            got = canonical_key(EmbeddedMatroid(space, mask))[2]
+            assert got == brute_canonical_mask(space, mask)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mask=st.integers(1, (1 << 13) - 1))
+def test_key_is_least_image_pg23(mask):
+    space = point_space(3, 3)
+    assume(brute_rank(space, [p for p in range(space.n) if (mask >> p) & 1]) == 3)
+    assert canonical_key(EmbeddedMatroid(space, mask))[2] == brute_canonical_mask(space, mask)
+
+
+# (r, q, masks drawn) for the pinned key digest
+KEY_SAMPLE = ((4, 2, 200), (3, 3, 200), (5, 2, 20), (4, 3, 30), (6, 2, 20))
+
+
+def test_keys_match_pinned_digest(monkeypatch):
+    """Keys over a seeded sample hash as pinned: a change to any key shows."""
+    monkeypatch.delenv(CACHE_DIR_VAR, raising=False)
+    _key_memo.clear()
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    for r, q, count in KEY_SAMPLE:
+        space = point_space(r, q)
+        for _ in range(count):
+            mask = space.mask_of(rng.sample(range(space.n), rng.randint(1, min(space.n, 24))))
+            key = canonical_key(EmbeddedMatroid(space, mask))
+            h.update(f"{r} {q} {mask:x} {key}\n".encode())
+    assert h.hexdigest() == CANONICAL_KEY_SHA256

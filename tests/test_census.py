@@ -1,6 +1,7 @@
 """Tests for the minimal census, the hyperplane scan, and coloring enumeration."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -21,7 +22,7 @@ from comatroid.decide import (
 )
 from comatroid.errors import ResourceLimitError
 from comatroid.matroid import EmbeddedMatroid, embed
-from comatroid.projective import point_space
+from comatroid.projective import iter_bits, point_space
 
 from oracles import CENSUS_TSV_SHA256
 
@@ -176,6 +177,22 @@ def test_scan_block_error_names_block(monkeypatch):
     with pytest.raises(RuntimeError, match="prefix pattern 0") as info:
         hyperplane_scan(embed(named("m2-1")), 1, jobs=1)
     assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def test_green_side_off_a_hyperplane_never_needs_j():
+    """Holding the 16 points off a hyperplane H makes every other hyperplane's
+    green trace an AG(3,2) plus points of its span, so i >= 30 and the scan
+    never computes j for an extension whose red side lies inside H."""
+    space = point_space(5, 2)
+    rng = random.Random(4)
+    for hmask in space.flats_of_rank(4):
+        inside = list(iter_bits(hmask))
+        off = space.full_mask ^ hmask
+        greens = [off] + [off | space.mask_of(rng.sample(inside, rng.randint(1, 14)))
+                          for _ in range(3)]
+        for green in greens:
+            count = len(EmbeddedMatroid(space, green).connected_hyperplanes())
+            assert count >= 30 > census.GREEN_HYPERPLANE_BOUND
 
 
 def test_scan_rejects_bad_seed():
