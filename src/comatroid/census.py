@@ -287,48 +287,37 @@ def _scan_tables(space: PointSpace, green0: int, ext: tuple[int, ...],
     complement within H; both rank-4 connectivity verdicts are tabulated,
     indexed by the local submask of that trace. A trace has no more points
     than its extension, so only local submasks of at most max_extra points
-    are filled. Alongside come, for each spare point, the (hyperplane, local
-    bit) pairs it sets.
+    are filled. Each entry is read in H's own PG(3,2): the seed trace and the
+    spare points are translated once per hyperplane by flat_embedding, and
+    the verdict is a rank-table read plus that space's components memo, which
+    all hyperplanes share. Alongside come, for each spare point, the
+    (hyperplane, local bit) pairs it sets.
     """
     green_tables, red_tables = [], []
     contributions = [[] for _ in ext]
     for h, hmask in enumerate(space.flats_of_rank(space.r - 1)):
+        hspace, mapping = space.flat_embedding(hmask)
         local = tuple(k for k, p in enumerate(ext) if (hmask >> p) & 1)
-        gseed = green0 & hmask
-        eh_full = sum(1 << ext[k] for k in local)
+        bits = tuple(1 << mapping[ext[k]] for k in local)
+        gseed = space.translate_mask(green0 & hmask, mapping)
+        eh_full = sum(bits)
         gt = bytearray(1 << len(local))
         rt = bytearray(1 << len(local))
         for size in range(min(max_extra, len(local)) + 1):
             for combo in itertools.combinations(range(len(local)), size):
                 sub = sum(1 << t for t in combo)
-                picked = sum(1 << ext[local[t]] for t in combo)
+                picked = sum(bits[t] for t in combo)
                 x = gseed | picked
-                gt[sub] = (space.rank_of_mask(x) == space.r - 1
-                           and space.is_connected_mask(x))
+                gt[sub] = (hspace.rank_of_mask(x) == hspace.r
+                           and hspace.is_connected_mask(x))
                 y = eh_full ^ picked
-                rt[sub] = (space.rank_of_mask(y) == space.r - 1
-                           and space.is_connected_mask(y))
+                rt[sub] = (hspace.rank_of_mask(y) == hspace.r
+                           and hspace.is_connected_mask(y))
         for t, k in enumerate(local):
             contributions[k].append((h, 1 << t))
         green_tables.append(gt)
         red_tables.append(rt)
     return green_tables, red_tables, contributions
-
-
-def _gosper_masks(width: int, size: int):
-    """Same-popcount masks below 2**width in increasing integer order."""
-    if size == 0:
-        yield 0
-        return
-    if size > width:
-        return
-    mask = (1 << size) - 1
-    top = 1 << width
-    while mask < top:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
 def _red_count(red_tables, idx: list[int]) -> int:
@@ -345,40 +334,64 @@ def _red_count(red_tables, idx: list[int]) -> int:
     return sum(rt[x] for rt, x in zip(red_tables, idx))
 
 
+def _descend(steps, red_tables, spare: int, start: int, budget: int,
+             smask: int, idx: list[int], i: int, found: list) -> None:
+    """Record extension smask, then those adding up to budget more spare points.
+
+    Points are added in increasing order, numbered start or more. idx holds
+    smask's local index on each hyperplane and i its green count. A child ORs
+    its point's bit into the indices of that point's hyperplanes, on its own
+    copy of idx, and moves i by the change of each green entry, so returning
+    leaves the parent's state as it was. found collects
+    [scanned, j_computed, survivors].
+    """
+    found[0] += 1
+    if i < GREEN_HYPERPLANE_BOUND:
+        found[1] += 1
+        j = _red_count(red_tables, idx)
+        if i + j < TOTAL_HYPERPLANE_BOUND:
+            found[2].append((smask, i, j))
+    if budget:
+        for k in range(start, spare):
+            child = idx.copy()
+            ci = i
+            for h, bit, gt in steps[k]:
+                x = child[h]
+                y = x | bit
+                ci += gt[y] - gt[x]
+                child[h] = y
+            _descend(steps, red_tables, spare, k + 1, budget - 1,
+                     smask | (1 << k), child, ci, found)
+
+
 def _scan_block(spare: int, tables, max_extra: int, prefix_bits: int,
                 pattern: int):
     """Scan every extension whose trace on the first prefix_bits spare points is pattern.
 
+    The block is the branch of the depth-first search fixed by pattern: it
+    starts from the seed plus pattern's points and adds points from
+    prefix_bits on. A pattern of more than max_extra points scans nothing.
     Runs in the caller or in a pool worker alike, on the tables it is given.
     """
     green_tables, red_tables, contributions = tables
-    survivors = []
-    scanned = 0
-    j_computed = 0
+    budget = max_extra - popcount(pattern)
+    if budget < 0:
+        return [], 0, 0
+    found = [0, 0, []]
     try:
-        for size in range(max_extra - popcount(pattern) + 1):
-            for tail in _gosper_masks(spare - prefix_bits, size):
-                smask = pattern | (tail << prefix_bits)
-                scanned += 1
-                idx = [0] * len(green_tables)
-                rest = smask
-                while rest:
-                    low = rest & -rest
-                    for h, bit in contributions[low.bit_length() - 1]:
-                        idx[h] |= bit
-                    rest ^= low
-                i = 0
-                for gt, x in zip(green_tables, idx):
-                    i += gt[x]
-                if i >= GREEN_HYPERPLANE_BOUND:
-                    continue
-                j_computed += 1
-                j = _red_count(red_tables, idx)
-                if i + j < TOTAL_HYPERPLANE_BOUND:
-                    survivors.append((smask, i, j))
+        # each spare point's (hyperplane, local bit, green table) triples
+        steps = [tuple((h, bit, green_tables[h]) for h, bit in c)
+                 for c in contributions]
+        idx = [0] * len(green_tables)
+        for k in iter_bits(pattern):
+            for h, bit, _ in steps[k]:
+                idx[h] |= bit
+        i = sum(gt[x] for gt, x in zip(green_tables, idx))
+        _descend(steps, red_tables, spare, prefix_bits, budget, pattern, idx, i, found)
     except Exception as exc:
         raise RuntimeError(f"scan block with prefix pattern {pattern} "
                            f"over {prefix_bits} spare points failed: {exc!r}") from exc
+    scanned, j_computed, survivors = found
     return survivors, scanned, j_computed
 
 
@@ -389,8 +402,12 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     An extension survives when its green hyperplane count i stays below 26
     and, with the complement's count j, i + j stays below 32; j is skipped
     whenever i alone already disqualifies the extension. The tables are built
-    once, here, to depth max_extra; they give the seed record too, and every
-    block, in this process or a pool worker, reads them.
+    once, here, to depth max_extra, each entry read in its hyperplane's own
+    PG(3,2); they give the seed record too. The extensions are then walked by
+    a depth-first search that adds spare points in increasing order and
+    updates i point by point. Its first branches, fixed by a pattern on the
+    first few spare points, are the blocks that run in this process or in
+    pool workers; their results merge in pattern order, then sort.
     """
     m = seed.to_span()
     if m.q != 2 or m.space.r != 5:

@@ -10,13 +10,32 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import ResourceLimitError, SimplicityError
 from .linalg import Echelon, check_field, normalize
 from .projective import FlatHandle, PointSpace, iter_bits, point_space, popcount
 
 BRUTE_FORCE_CAP = 24
+
+
+class _memoized:
+    """An attribute computed on first read and stored in the instance dict.
+
+    functools.cached_property does the same but, in Python 3.11, takes a lock
+    on every first read. The values here are pure functions of a frozen
+    instance, so two racing first reads would store equal values.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -100,11 +119,11 @@ class EmbeddedMatroid:
     def red_mask(self) -> int:
         return self.space.full_mask & ~self.green_mask
 
-    @cached_property
+    @_memoized
     def rank(self) -> int:
         return self.space.rank_of_mask(self.green_mask)
 
-    @cached_property
+    @_memoized
     def span_mask(self) -> int:
         return self.space.closure_mask(self.green_mask)
 
@@ -112,7 +131,7 @@ class EmbeddedMatroid:
     def is_spanning(self) -> bool:
         return self.rank == self.space.r
 
-    @cached_property
+    @_memoized
     def label_to_index(self) -> dict[str, int]:
         return dict(self.labels or ())
 

@@ -164,16 +164,48 @@ def _binom(n, k):
 
 
 def test_scan_determinism_across_workers():
+    # with jobs=4 at max_extra <= 1 one prefix pattern holds more points than
+    # an extension may add, and its block must scan nothing
     for name in ("extra-1", "f77"):
         seed = embed(named(name))
         for max_extra in (0, 1, 3):
             one = hyperplane_scan(seed, max_extra, jobs=1)
-            two = hyperplane_scan(seed, max_extra, jobs=2)
-            assert one == two, (name, max_extra)
+            for jobs in (2, 4):
+                other = hyperplane_scan(seed, max_extra, jobs=jobs)
+                assert one == other, (name, max_extra, jobs)
+
+
+# j_computed at max_extra=6, taken from the scan before the depth-first search
+SCAN_J_COMPUTED_DEPTH6 = {"m2-1": 2398, "m2-2": 3596, "extra-1": 3746, "extra-2": 2713}
+
+
+def test_scan_seeds_pinned_counts():
+    assert tuple(SCAN_J_COMPUTED_DEPTH6) == census.SCAN_SEEDS
+    for name, j_computed in SCAN_J_COMPUTED_DEPTH6.items():
+        scan = hyperplane_scan(embed(named(name)), 6)
+        assert scan.scanned == sum(_binom(19, s) for s in range(7)), name
+        assert scan.survivors == (), name
+        assert scan.j_computed == j_computed, name
+
+
+def test_scan_counts_match_direct_counts(monkeypatch):
+    """With both bounds out of reach every extension survives, so each (i, j)
+    the tables give can be checked against a count on the extension itself."""
+    monkeypatch.setattr(census, "GREEN_HYPERPLANE_BOUND", 32)
+    monkeypatch.setattr(census, "TOTAL_HYPERPLANE_BOUND", 63)
+    for name, expected in (("m2-1", 191), ("f77", 172)):
+        m = embed(named(name)).to_span()
+        scan = hyperplane_scan(m, 2)
+        assert scan.scanned == scan.j_computed == len(scan.survivors) == expected
+        for extra, i, j in scan.survivors:
+            ext = EmbeddedMatroid(m.space, m.green_mask | m.space.mask_of(extra))
+            assert i == len(ext.connected_hyperplanes()), (name, extra)
+            assert j == len(ext.complement().connected_hyperplanes()), (name, extra)
 
 
 def test_scan_block_error_names_block(monkeypatch):
-    monkeypatch.setattr(census, "_gosper_masks", lambda width, size: 1 // 0)
+    # the seed record reads the tables directly; only a block runs the search
+    monkeypatch.setattr(census, "_descend", lambda *args: 1 // 0)
     with pytest.raises(RuntimeError, match="prefix pattern 0") as info:
         hyperplane_scan(embed(named("m2-1")), 1, jobs=1)
     assert isinstance(info.value.__cause__, ZeroDivisionError)
