@@ -2,8 +2,10 @@
 
 The six binary entries are the cycle matroids of the minimal 5-vertex graphs
 found by the rank-4 census; the five ternary entries are the fixed rank-3
-non-comatroids. Family members (circuits, circuits with U(2,4)) are matched
-by formula at decision time and carry no data files.
+non-comatroids. Family members (circuits, circuits with U(2,4)) carry no
+data files: a circuit is recognised by its size, rank and connectivity at
+decision time, and a circuit with U(2,4) is built from its parameters and
+matched by its orbit table or canonical key.
 """
 
 from __future__ import annotations

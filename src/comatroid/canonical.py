@@ -29,7 +29,7 @@ from pathlib import Path
 from .errors import ResourceLimitError
 from .linalg import mat_apply, normalize, vec_add, vec_scale
 from .matroid import EmbeddedMatroid
-from .projective import PointSpace, iter_bits, point_space, popcount
+from .projective import TABLE_POINT_CAP, PointSpace, iter_bits, point_space, popcount
 
 MAX_CANONICAL_RANK = 6
 CACHE_DIR_VAR = "COMATROID_CACHE_DIR"
@@ -212,6 +212,56 @@ def point_permutation(space: PointSpace, mat) -> tuple[int, ...]:
     return tuple(
         space.index[normalize(mat_apply(mat, p, space.q), space.q)] for p in space.points
     )
+
+
+@lru_cache(maxsize=None)
+def _generator_images(r: int, q: int) -> tuple[tuple[list[int], list[int]], ...]:
+    """Per generator of the linear group, the images of a mask's low and high byte.
+
+    The generators are the cyclic coordinate shift, the swap of the first two
+    coordinates, the transvection v0 += v1 and, over GF(3), the scaling of v0.
+    A mask's image is then low[mask & 255] | high[mask >> 8].
+    """
+    space = point_space(r, q)
+    if space.n > TABLE_POINT_CAP:
+        raise ResourceLimitError(
+            f"orbit walks capped at {TABLE_POINT_CAP} points, space has {space.n}")
+    maps = [
+        lambda v: v[1:] + v[:1],
+        lambda v: (v[1], v[0]) + v[2:],
+        lambda v: ((v[0] + v[1]) % q,) + v[1:],
+    ]
+    if q > 2:
+        maps.append(lambda v: ((2 * v[0]) % q,) + v[1:])
+    out = []
+    for f in maps:
+        perm = [space.index[normalize(f(v), q)] for v in space.points]
+        low = [space.translate_mask(b, perm) for b in range(1 << min(space.n, 8))]
+        high = [space.translate_mask(b << 8, perm) for b in range(1 << max(space.n - 8, 0))]
+        out.append((low, high))
+    return tuple(out)
+
+
+def orbit_of(space: PointSpace, green: int, seen: bytearray, mark: int = 1) -> list[int]:
+    """The masks of green's projective-equivalence orbit, each marked in seen.
+
+    seen has one byte per mask of the space and doubles as the walk's visited
+    set: every mask reached is set to mark, and a mask already marked is not
+    walked. Orbits are disjoint, so a green whose orbit was walked before
+    gives the empty list.
+    """
+    if seen[green]:
+        return []
+    gens = _generator_images(space.r, space.q)
+    seen[green] = mark
+    orbit = [green]
+    for mask in orbit:
+        for low, high in gens:
+            image = low[mask & 255] | high[mask >> 8]
+            if not seen[image]:
+                seen[image] = mark
+                orbit.append(image)
+    return orbit
 
 
 def apply_linear_map(M: EmbeddedMatroid, mat) -> EmbeddedMatroid:

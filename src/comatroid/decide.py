@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .canonical import canonical_key
+from .canonical import canonical_key, orbit_of
 from .catalog import TERNARY_RANK3_MINIMAL, circuit, circuit_with_u24, named
 from .errors import ResourceLimitError
 from .formats import loads_presentation
 from .matroid import EmbeddedMatroid, embed
-from .projective import iter_bits, popcount
+from .projective import TABLE_POINT_CAP, iter_bits, point_space, popcount
 
 RECURSIVE_RANK_CAP = 7
 FLAT_RANK_CAP = 6
@@ -161,24 +161,66 @@ def _family_key(k: int, d: int) -> tuple:
     return canonical_key(embed(circuit_with_u24(k, range(d))))
 
 
-def _classify_flat(space, x: int, rank: int, cat: ForbiddenCatalog) -> str | None:
+@lru_cache(maxsize=None)
+def _orbit_table(rank: int, q: int):
+    """The forbidden members of rank `rank` as a lookup over every mask of PG(rank-1, q).
+
+    Returns (table, names, sizes): table[mask] is 0 for no member and 1 + i
+    for names[i], and sizes holds the members' sizes. Each member's orbit is
+    walked from its canonical key, which lies in this same space; family
+    members come first and then the fixed entries in catalog order, the order
+    in which the key path below tries them, so a mask is named as it would be
+    there. None above TABLE_POINT_CAP points: an orbit there can run to 10^5
+    masks and more.
+    """
+    space = point_space(rank, q)
+    if space.n > TABLE_POINT_CAP:
+        return None
+    members = []
+    if q == 3:
+        for d in range(1, rank - 1):
+            k = rank + 1 - d
+            members.append((f"circuit with U(2,4) family (k={k}, d={d})", _family_key(k, d)))
+    members += [(name, key) for name, r, _, key in forbidden_catalog(q).entries if r == rank]
+    table = bytearray(1 << space.n)
+    for i, (_, (_, _, mask)) in enumerate(members):
+        orbit_of(space, mask, table, 1 + i)
+    names = tuple(name for name, _ in members)
+    sizes = frozenset(popcount(key[2]) for _, key in members)
+    return table, names, sizes
+
+
+def _classify_flat(space, x: int, rank: int) -> str | None:
     """Name of the forbidden member that the rank-`rank` green set x is, if any.
 
-    The circuit test is cheapest and comes first; a canonical key is computed
-    only for the GF(3) family or when a fixed entry has x's rank and size.
+    The circuit test is cheapest and comes first. A rank whose geometry
+    PG(rank-1, q) has an orbit table then reads it, after translating x into
+    that geometry when x does not span the space; only members of higher rank
+    need a canonical key, and only when a member has x's rank and size.
     """
     size = popcount(x)
-    min_circuit = 6 if cat.q == 2 else 4
+    q = space.q
+    min_circuit = 6 if q == 2 else 4
     if size == rank + 1 and size >= min_circuit and space.is_connected_mask(x):
         return f"circuit of size {size}"
-    if cat.q == 3:
+    tabled = _orbit_table(rank, q)
+    if tabled is not None:
+        table, names, sizes = tabled
+        if size not in sizes:
+            return None
+        if rank < space.r:
+            _, mapping = space.flat_embedding(space.closure_mask(x))
+            x = space.translate_mask(x, mapping)
+        hit = table[x]
+        return names[hit - 1] if hit else None
+    if q == 3:
         ksig = 2 * (rank + 1) - size
         dsig = size - rank - 1
         if ksig >= 3 and dsig >= 1 and space.is_connected_mask(x):
             if canonical_key(EmbeddedMatroid(space, x)) == _family_key(ksig, dsig):
                 return f"circuit with U(2,4) family (k={ksig}, d={dsig})"
     key = None
-    for name, entry_key in cat.fixed_candidates(rank, size):
+    for name, entry_key in forbidden_catalog(q).fixed_candidates(rank, size):
         if key is None:
             key = canonical_key(EmbeddedMatroid(space, x))
         if key == entry_key:
@@ -186,7 +228,7 @@ def _classify_flat(space, x: int, rank: int, cat: ForbiddenCatalog) -> str | Non
     return None
 
 
-def _match_forbidden(side: EmbeddedMatroid, cat: ForbiddenCatalog):
+def _match_forbidden(side: EmbeddedMatroid):
     """First (flat members, entry name) match on one side, or None.
 
     Every forbidden member has rank at least 3, so only flats of rank 3 and
@@ -204,24 +246,20 @@ def _match_forbidden(side: EmbeddedMatroid, cat: ForbiddenCatalog):
             x = fmask & green
             if x == 0 or space.closure_mask(x) != fmask:
                 continue
-            name = _classify_flat(space, x, frank, cat)
+            name = _classify_flat(space, x, frank)
             if name is not None:
                 return (tuple(iter_bits(x)), name)
     return None
 
 
-def decide_forbidden_flats(M: EmbeddedMatroid, cat: ForbiddenCatalog | None = None) -> Verdict:
+def decide_forbidden_flats(M: EmbeddedMatroid) -> Verdict:
     """Decide by scanning flats of M and of its complement for forbidden members."""
     if M.rank > FLAT_RANK_CAP:
         raise ResourceLimitError(
             f"forbidden-flat decision capped at rank {FLAT_RANK_CAP}, got {M.rank}")
-    if cat is None:
-        cat = forbidden_catalog(M.q)
-    if cat.q != M.q:
-        raise ValueError(f"catalog is for GF({cat.q}), matroid over GF({M.q})")
     m = M.to_span()
     for side_name, side in (("M", m), ("M^c", m.complement())):
-        hit = _match_forbidden(side, cat)
+        hit = _match_forbidden(side)
         if hit is not None:
             return Verdict(False, "forbidden-flat", ("witness", side_name) + hit)
     return Verdict(True, "forbidden-flat")
@@ -338,8 +376,7 @@ def verify_certificate(M: EmbeddedMatroid, verdict: Verdict) -> bool:
             x = _members_mask(side.space, members)
             if x is None or side.space.closure_mask(x) & side.green_mask != x:
                 return False
-            hit = _classify_flat(side.space, x, side.space.rank_of_mask(x),
-                                 forbidden_catalog(m.q))
+            hit = _classify_flat(side.space, x, side.space.rank_of_mask(x))
             return hit == entry and not verdict.is_comatroid
     return False
 

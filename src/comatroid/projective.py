@@ -19,7 +19,9 @@ from .errors import ResourceLimitError
 from .linalg import Echelon, check_field, normalize, vec_add, vec_scale
 
 MAX_SPACE_RANK = 8
-_TABLE_POINT_LIMIT = 15
+# Largest space that carries closure and rank tables, and whose colorings
+# are enumerated, tabled or orbit-walked whole.
+TABLE_POINT_CAP = 15
 
 
 def gaussian_binomial(r: int, k: int, q: int) -> int:
@@ -86,7 +88,7 @@ class PointSpace:
         self._embeddings: dict[int, tuple["PointSpace", dict[int, int]]] = {}
         self._contractions: dict[int, tuple["PointSpace", list[int | None]]] = {}
         self._line_memo: dict[tuple[int, int], tuple[int, ...]] = {}
-        if self.n <= _TABLE_POINT_LIMIT:
+        if self.n <= TABLE_POINT_CAP:
             self._build_tables()
 
     def __repr__(self):

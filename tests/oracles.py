@@ -2,11 +2,18 @@
 
 Everything here recomputes from first principles (exhaustive coefficient
 enumeration, textbook definitions) without touching the library's own rank,
-closure, or connectivity machinery.
+closure, or connectivity machinery. The one exception is
+`forbidden_name_by_key`, which names forbidden members by canonical keys, the
+mechanism the forbidden-flat orbit tables stand in for.
 """
 
 import functools
 import itertools
+
+from comatroid.canonical import canonical_key
+from comatroid.catalog import circuit, circuit_with_u24
+from comatroid.decide import forbidden_catalog
+from comatroid.matroid import embed
 
 
 def norm_point(v, q):
@@ -183,6 +190,29 @@ def brute_canonical_mask(space, green):
     return best
 
 
+def forbidden_name_by_key(m):
+    """The forbidden member m is, named by comparing canonical keys, or None.
+
+    Candidates are the spanning circuit of m's size (from six points over
+    GF(2), four over GF(3)), over GF(3) the circuit-with-U(2,4) member of
+    m's rank and size, and every fixed catalog entry, tried in that order.
+    """
+    m = m.to_span()
+    q, r, size = m.q, m.rank, m.n
+    key = canonical_key(m)
+    if size == r + 1 and size >= (6 if q == 2 else 4):
+        if key == canonical_key(embed(circuit(size, q))):
+            return f"circuit of size {size}"
+    k, d = 2 * (r + 1) - size, size - r - 1
+    if q == 3 and k >= 3 and d >= 1:
+        if key == canonical_key(embed(circuit_with_u24(k, range(d)))):
+            return f"circuit with U(2,4) family (k={k}, d={d})"
+    for name, _, _, entry_key in forbidden_catalog(q).entries:
+        if key == entry_key:
+            return name
+    return None
+
+
 # SHA-256 of minimal_non_comatroids(r, q).to_tsv(), pinned so any change to the
 # census output, including row order and labels, shows in tier-1
 CENSUS_TSV_SHA256 = {
@@ -195,3 +225,8 @@ CENSUS_TSV_SHA256 = {
 # tests/test_canonical.py draws; changing it means raising
 # canonical.CACHE_VERSION, since disk-cached keys would go stale
 CANONICAL_KEY_SHA256 = "3207f62abfa92b51c59f5f4df3bb7834ba4daa5c36d6e4cda5a13945e97cec23"
+
+# SHA-256 of decide_forbidden_flats verdicts and certificates (witness side,
+# members and entry name) over every coloring of PG(3,2) and PG(2,3), one line
+# per coloring as tests/test_decide.py writes it
+FORBIDDEN_FLAT_SHA256 = "fcd104faf53e4cbd047f9a90c3d38d5adcf97ed65592d3c5813815b99f7229f2"

@@ -13,6 +13,7 @@ from comatroid.canonical import (
     apply_linear_map,
     canonical_key,
     is_isomorphic,
+    orbit_of,
     point_permutation,
 )
 from comatroid.errors import ResourceLimitError
@@ -122,6 +123,17 @@ def test_key_is_least_image_pg23(mask):
     space = point_space(3, 3)
     assume(brute_rank(space, [p for p in range(space.n) if (mask >> p) & 1]) == 3)
     assert canonical_key(EmbeddedMatroid(space, mask))[2] == brute_canonical_mask(space, mask)
+
+
+def test_orbit_walk_partitions_like_keys_pg22():
+    space = point_space(3, 2)
+    seen = bytearray(1 << space.n)
+    orbits = [orbit for mask in range(1 << space.n)
+              if (orbit := orbit_of(space, mask, seen))]
+    assert sorted(m for orbit in orbits for m in orbit) == list(range(1 << space.n))
+    keys = [{canonical_key(EmbeddedMatroid(space, m)) for m in orbit} for orbit in orbits]
+    assert all(len(k) == 1 for k in keys)
+    assert len(set.union(*keys)) == len(orbits)
 
 
 # (r, q, masks drawn) for the pinned key digest

@@ -1,14 +1,25 @@
 """Tests for the three membership deciders and their certificates."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comatroid.catalog import catalog_names, circuit, circuit_with_u24, named
+from comatroid.catalog import (
+    catalog_names,
+    circuit,
+    circuit_with_u24,
+    graph_cycle_matroid,
+    named,
+)
+from comatroid.census import FIVE_VERTEX_GRAPHS
 from comatroid.decide import (
     Verdict,
+    _classify_flat,
+    _orbit_table,
     decide_flat_criterion,
     decide_forbidden_flats,
     decide_recursive,
@@ -18,8 +29,9 @@ from comatroid.decide import (
 )
 from comatroid.errors import ResourceLimitError
 from comatroid.matroid import EmbeddedMatroid, embed
-from comatroid.projective import iter_bits, point_space
+from comatroid.projective import iter_bits, point_space, popcount
 
+from oracles import FORBIDDEN_FLAT_SHA256, forbidden_name_by_key
 DECIDERS = (decide_recursive, decide_flat_criterion, decide_forbidden_flats)
 
 
@@ -210,6 +222,88 @@ def test_forbidden_catalog_shape():
             assert rank >= 3
             assert size >= 5
             assert key[0] == q
+
+
+# Orbit sizes of the tabled forbidden members: |PGL(r, q)| over each stabilizer
+ORBIT_SIZES = {
+    (4, 2): {"M(C5)": 168, "M(K2,3)": 420, "M(K2,3)+e": 420, "M(gem)": 2520,
+             "M(house)": 1680, "M(subdivided K4)": 2520},
+    (3, 3): {"M(K4)": 234, "P(U23,U23)": 702, "P(U24,U23)": 468, "R6": 78,
+             "W3": 936, "circuit with U(2,4) family (k=3, d=1)": 468},
+}
+
+
+def test_orbit_table_sizes():
+    for (r, q), want in ORBIT_SIZES.items():
+        table, names, _ = _orbit_table(r, q)
+        counts = Counter(table)
+        assert {names[i - 1]: c for i, c in counts.items() if i} == want
+
+
+def test_orbit_tables_match_key_oracle_on_tabled_spaces():
+    # every spanning mask whose rank and size are those of a tabled member
+    for (r, q), want in ORBIT_SIZES.items():
+        space = point_space(r, q)
+        sizes = {n for _, rank, n, _ in forbidden_catalog(q).entries if rank == r}
+        if q == 3:
+            sizes.add(5)  # the family member k=3, d=1
+        named_count = Counter()
+        for mask in range(1 << space.n):
+            if popcount(mask) not in sizes or space.rank_of_mask(mask) != r:
+                continue
+            got = _classify_flat(space, mask, r)
+            assert got == forbidden_name_by_key(EmbeddedMatroid(space, mask)), mask
+            named_count[got] += 1
+        assert {k: v for k, v in named_count.items() if k in want} == want
+
+
+def test_orbit_tables_match_key_oracle_through_translation():
+    # flats below the span are read through flat_embedding into PG(k-1, q)
+    for r, q, k, seed in ((5, 2, 4, 31), (4, 3, 3, 32)):
+        space = point_space(r, q)
+        rng = random.Random(seed)
+        hits = 0
+        for _ in range(30):
+            green = rng.randrange(1 << space.n)
+            for fmask in space.flats_of_rank(k):
+                x = fmask & green
+                if space.closure_mask(x) != fmask:
+                    continue
+                got = _classify_flat(space, x, k)
+                assert got == forbidden_name_by_key(EmbeddedMatroid(space, x))
+                hits += got is not None
+        assert hits > 0
+
+
+def test_forbidden_verdicts_match_pinned_digest():
+    """Verdicts and certificates over all colorings of PG(3,2), PG(2,3) hash as pinned."""
+    h = hashlib.sha256()
+    for r, q in ((4, 2), (3, 3)):
+        space = point_space(r, q)
+        for mask in range(1 << space.n):
+            v = decide_forbidden_flats(EmbeddedMatroid(space, mask))
+            line = f"{q} {r} {mask:x} {v.is_comatroid}"
+            if v.certificate is None:
+                line += " -"
+            else:
+                _, side, members, name = v.certificate
+                line += f" {side} {','.join(map(str, members))} {name}"
+            h.update(f"{line}\n".encode())
+    assert h.hexdigest() == FORBIDDEN_FLAT_SHA256
+
+
+def test_witness_on_hyperplane_replays():
+    # M(house) plus a coloop spans PG(4,2); its witness is a hyperplane's trace
+    house = embed(graph_cycle_matroid(FIVE_VERTEX_GRAPHS["M(house)"], 2))
+    m = house.direct_sum(EmbeddedMatroid(point_space(1, 2), 1))
+    v = decide_forbidden_flats(m)
+    kind, side, members, entry = v.certificate
+    assert (side, entry) == ("M", "M(house)")
+    space = m.to_span().space
+    assert (space.r, space.rank_of_mask(space.mask_of(members))) == (5, 4)
+    assert verify_certificate(m, v)
+    forged = Verdict(False, "forbidden-flat", (kind, side, members, "M(gem)"))
+    assert not verify_certificate(m, forged)
 
 
 def test_fixed_entries_fail_and_flats_pass():
