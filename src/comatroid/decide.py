@@ -23,6 +23,13 @@ from .projective import TABLE_POINT_CAP, iter_bits, point_space, popcount
 RECURSIVE_RANK_CAP = 7
 FLAT_RANK_CAP = 6
 INDUCED_MINOR_RANK_CAP = 5
+# Lowest rank of a flat at which the flat criterion can fail, per field. The
+# condition at a flat reads only the coloring of that flat, and no coloring of
+# PG(k-1, 2) for k <= 3, or of PG(k-1, 3) for k <= 2, fails at its top flat:
+# an enumeration of every coloring proves it (tests/test_decide.py).
+FLAT_VIOLATION_FLOOR = {2: 4, 3: 3}
+# Fewest points of a forbidden circuit: six over GF(2), four over GF(3)
+_MIN_CIRCUIT = {2: 6, 3: 4}
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,7 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
 
     The matroid passes iff it is empty or every projective flat F with
     r(F ∩ G) = r(F − G) has a disconnected restriction on at least one side.
+    Flats below FLAT_VIOLATION_FLOOR never fail it, so they are not visited.
     """
     if M.rank > FLAT_RANK_CAP:
         raise ResourceLimitError(
@@ -99,7 +107,7 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
     # top rank first and levels streamed lazily: both sides spanning and
     # connected is the common failure, so most non-comatroids exit on the
     # full space before any lower level of the flat lattice is built
-    for frank in range(space.r, 0, -1):
+    for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
         for fmask in space.flats_of_rank(frank):
             x = fmask & green
             y = fmask & ~green
@@ -200,8 +208,7 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
     """
     size = popcount(x)
     q = space.q
-    min_circuit = 6 if q == 2 else 4
-    if size == rank + 1 and size >= min_circuit and space.is_connected_mask(x):
+    if size == rank + 1 and size >= _MIN_CIRCUIT[q] and space.is_connected_mask(x):
         return f"circuit of size {size}"
     tabled = _orbit_table(rank, q)
     if tabled is not None:
@@ -228,11 +235,27 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _forbidden_floor(q: int) -> int:
+    """Least rank of a forbidden member over GF(q): 4 over GF(2), 3 over GF(3).
+
+    Catalog entries carry their ranks. A forbidden circuit has rank one less
+    than its size, and the least circuit-with-U(2,4) member, k=3 with d=1, has
+    rank k - 1 + d = 3.
+    """
+    ranks = [r for _, r, _, _ in forbidden_catalog(q).entries]
+    ranks.append(_MIN_CIRCUIT[q] - 1)
+    if q == 3:
+        ranks.append(3)
+    return min(ranks)
+
+
 def _match_forbidden(side: EmbeddedMatroid):
     """First (flat members, entry name) match on one side, or None.
 
-    Every forbidden member has rank at least 3, so only flats of rank 3 and
-    up are scanned; each matroid flat is visited once, at its own closure.
+    Only flats of rank _forbidden_floor(q) and up can hold a forbidden member,
+    so only those are scanned; each matroid flat is visited once, at its own
+    closure.
     """
     if side.green_mask == 0:
         return None
@@ -241,7 +264,7 @@ def _match_forbidden(side: EmbeddedMatroid):
     green = m.green_mask
     # top-rank flats first: circuits and family members sit at the span, so
     # dense non-members are rejected before the wide low-rank levels
-    for frank in range(space.r, 2, -1):
+    for frank in range(space.r, _forbidden_floor(space.q) - 1, -1):
         for fmask in space.flats_of_rank(frank):
             x = fmask & green
             if x == 0 or space.closure_mask(x) != fmask:

@@ -4,9 +4,11 @@ Points are normalized coordinate tuples (first nonzero coordinate 1) in
 lexicographic order, addressed by index. Point sets are int bitmasks over
 those indices. Rank, closure and components all come from one step on
 indices: joining a point to a flat adds the point and the rest of each line
-through it and a point of the flat. Spaces with at most 15 points
-additionally carry full closure/rank lookup tables, which the exhaustive
-searches rely on.
+through it and a point of the flat, read as masks from a per-point row that
+is filled one line at a time as joins need it. A span takes one join per
+rank, each with the lowest point the flat so far misses. Spaces with at most
+15 points additionally carry full closure/rank lookup tables, which the
+exhaustive searches and the co-spans of components rely on.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class PointSpace:
         self._flats_by_rank: dict[int, tuple[int, ...]] = {}
         self._embeddings: dict[int, tuple["PointSpace", dict[int, int]]] = {}
         self._contractions: dict[int, tuple["PointSpace", list[int | None]]] = {}
-        self._line_memo: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._lines: list[list[int] | None] = [None] * self.n
         if self.n <= TABLE_POINT_CAP:
             self._build_tables()
 
@@ -96,35 +98,46 @@ class PointSpace:
 
     # ------------------------------------------------------------------ lines
 
-    def line_completions(self, i: int, j: int) -> tuple[int, ...]:
-        """Indices of the other points on the line through distinct points i, j."""
-        key = (i, j) if i < j else (j, i)
-        got = self._line_memo.get(key)
-        if got is None:
-            u, v = self.points[i], self.points[j]
-            if self.q == 2:
-                got = (self.index[vec_add(u, v, 2)],)
-            else:
-                got = (
-                    self.index[normalize(vec_add(u, v, 3), 3)],
-                    self.index[normalize(vec_add(u, vec_scale(2, v, 3), 3), 3)],
-                )
-            self._line_memo[key] = got
-        return got
-
     def _join(self, flat: int, x: int) -> int:
-        """The flat spanned by a flat and a point x outside it."""
+        """The flat spanned by a flat and a point x outside it.
+
+        Row x of `_lines`, allocated on the first join with x, holds at i the
+        mask of the other points on the line through i and x, computed on
+        first use; a line has at least three points, so 0 marks an entry not
+        yet computed. Rows are never filled ahead of use: that is O(n^2) work
+        and memory up front, most of it never read.
+        """
+        row = self._lines[x]
+        if row is None:
+            row = self._lines[x] = [0] * self.n
         new = flat | (1 << x)
-        for i in iter_bits(flat):
-            for extra in self.line_completions(i, x):
-                new |= 1 << extra
+        rest = flat
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            extra = row[i]
+            if not extra:
+                u, v = self.points[i], self.points[x]
+                if self.q == 2:
+                    extra = 1 << self.index[vec_add(u, v, 2)]
+                else:
+                    extra = (1 << self.index[normalize(vec_add(u, v, 3), 3)]
+                             | 1 << self.index[normalize(vec_add(u, vec_scale(2, v, 3), 3), 3)])
+                row[i] = extra
+            new |= extra
+            rest ^= low
         return new
 
-    def _span(self, points) -> int:
+    def _span(self, mask: int) -> int:
+        """The closure of mask, one join per rank.
+
+        Each join adds the lowest point of mask that the flat so far misses.
+        """
         flat = 0
-        for x in points:
-            if not (flat >> x) & 1:
-                flat = self._join(flat, x)
+        rest = mask
+        while rest:
+            flat = self._join(flat, (rest & -rest).bit_length() - 1)
+            rest &= ~flat
         return flat
 
     # ----------------------------------------------------------------- tables
@@ -156,7 +169,7 @@ class PointSpace:
             return self._closure_table[mask]
         got = self._closure_memo.get(mask)
         if got is None:
-            got = self._span(iter_bits(mask))
+            got = self._span(mask)
             self._closure_memo[mask] = got
         return got
 
@@ -217,24 +230,30 @@ class PointSpace:
         """Connected components of the restriction to mask, as masks.
 
         Elements share a component exactly when they are linked through
-        fundamental circuits of a greedy basis B of the restriction, taken by
-        joins. Basis point b lies in the circuit of y exactly when y is outside
+        fundamental circuits of a greedy basis B of the restriction: each basis
+        point is the lowest point of the mask outside the span of those before
+        it. Basis point b lies in the circuit of y exactly when y is outside
         span(B - b), so b, together with the points of the mask outside that
         co-span, lies in one component.
         """
         got = self._components_memo.get(mask)
         if got is not None:
             return got
-        basis = []
+        basis = 0
         span = 0
-        for i in iter_bits(mask):
-            if not (span >> i) & 1:
-                span = self._join(span, i)
-                basis.append(i)
+        left = mask
+        while left:
+            low = left & -left
+            basis |= low
+            span = self._join(span, low.bit_length() - 1)
+            left &= ~span
+        table = self._closure_table
         blocks: list[int] = []
-        for b in basis:
-            # co-spans skip _closure_memo, which would otherwise grow by |B| per mask
-            block = mask & ~self._span(x for x in basis if x != b)
+        for b in iter_bits(basis):
+            # a tabled space reads each co-span; elsewhere they are re-spanned,
+            # skipping _closure_memo, which would otherwise grow by |B| per mask
+            others = basis ^ (1 << b)
+            block = mask & ~(table[others] if table is not None else self._span(others))
             rest = []
             for other in blocks:
                 if other & block:

@@ -1,8 +1,8 @@
 """Independent brute-force references used to pin expected values in tests.
 
-Everything here recomputes from first principles (exhaustive coefficient
-enumeration, textbook definitions) without touching the library's own rank,
-closure, or connectivity machinery. The one exception is
+Everything here recomputes from first principles (coefficient enumeration
+over coordinate vectors, textbook definitions) without touching the library's
+own rank, closure, or connectivity machinery. The one exception is
 `forbidden_name_by_key`, which names forbidden members by canonical keys, the
 mechanism the forbidden-flat orbit tables stand in for.
 """
@@ -27,15 +27,19 @@ def norm_point(v, q):
 
 
 def brute_span_members(space, idxs):
-    """Point indices in the linear span, by enumerating all coefficient tuples."""
-    vecs = [space.points[i] for i in idxs]
-    q, r = space.q, space.r
-    members = set()
-    for coeffs in itertools.product(range(q), repeat=len(vecs)):
-        v = tuple(sum(c * w[j] for c, w in zip(coeffs, vecs)) % q for j in range(r))
-        if any(v):
-            members.add(space.index[norm_point(v, q)])
-    return members
+    """Point indices in the linear span, by enumerating coefficients over a greedy basis.
+
+    The span is kept as the set of every coefficient combination of the basis
+    so far; a point joins the basis when its vector is not yet in that set, so
+    at most q^r vectors are ever enumerated, however many points are given.
+    """
+    q = space.q
+    span = {(0,) * space.r}
+    for i in idxs:
+        w = space.points[i]
+        if w not in span:
+            span = {tuple((a + c * b) % q for a, b in zip(v, w)) for v in span for c in range(q)}
+    return {space.index[norm_point(v, q)] for v in span if any(v)}
 
 
 def brute_rank(space, idxs):
@@ -230,3 +234,9 @@ CANONICAL_KEY_SHA256 = "3207f62abfa92b51c59f5f4df3bb7834ba4daa5c36d6e4cda5a13945
 # members and entry name) over every coloring of PG(3,2) and PG(2,3), one line
 # per coloring as tests/test_decide.py writes it
 FORBIDDEN_FLAT_SHA256 = "fcd104faf53e4cbd047f9a90c3d38d5adcf97ed65592d3c5813815b99f7229f2"
+
+# SHA-256 of the Verdict reprs of all three deciders over the seeded masks of
+# PG(4,2), PG(3,3), PG(5,2) and PG(4,3), and of decide_flat_criterion over every
+# coloring of PG(3,2) and PG(2,3), one line per verdict as tests/test_decide.py
+# writes it
+VERDICT_SHA256 = "24526e9b5b39fa72ac89e7d5da699aebe10dfa2fdcfe489e0466e7974f62914f"

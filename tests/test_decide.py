@@ -17,8 +17,10 @@ from comatroid.catalog import (
 )
 from comatroid.census import FIVE_VERTEX_GRAPHS
 from comatroid.decide import (
+    FLAT_VIOLATION_FLOOR,
     Verdict,
     _classify_flat,
+    _forbidden_floor,
     _orbit_table,
     decide_flat_criterion,
     decide_forbidden_flats,
@@ -31,7 +33,8 @@ from comatroid.errors import ResourceLimitError
 from comatroid.matroid import EmbeddedMatroid, embed
 from comatroid.projective import iter_bits, point_space, popcount
 
-from oracles import FORBIDDEN_FLAT_SHA256, forbidden_name_by_key
+from oracles import FORBIDDEN_FLAT_SHA256, VERDICT_SHA256, forbidden_name_by_key
+
 DECIDERS = (decide_recursive, decide_flat_criterion, decide_forbidden_flats)
 
 
@@ -290,6 +293,65 @@ def test_forbidden_verdicts_match_pinned_digest():
                 line += f" {side} {','.join(map(str, members))} {name}"
             h.update(f"{line}\n".encode())
     assert h.hexdigest() == FORBIDDEN_FLAT_SHA256
+
+
+def _seeded_masks(space, count, seed):
+    """Masks of every density: a uniform size, then a uniform subset of that size."""
+    rng = random.Random(seed)
+    return [space.mask_of(rng.sample(range(space.n), rng.randint(0, space.n)))
+            for _ in range(count)]
+
+
+def test_verdicts_match_pinned_digest():
+    """All three deciders' verdicts over seeded untabled masks, and the flat
+    criterion's over every coloring of PG(3,2) and PG(2,3), hash as pinned."""
+    h = hashlib.sha256()
+    for r, q, count, seed in ((5, 2, 300, 51), (4, 3, 300, 52), (6, 2, 30, 53), (5, 3, 15, 54)):
+        space = point_space(r, q)
+        for mask in _seeded_masks(space, count, seed):
+            m = EmbeddedMatroid(space, mask)
+            for decide in DECIDERS:
+                h.update(f"{r} {q} {mask:x} {decide(m)!r}\n".encode())
+    for r, q in ((4, 2), (3, 3)):
+        space = point_space(r, q)
+        for mask in range(1 << space.n):
+            v = decide_flat_criterion(EmbeddedMatroid(space, mask))
+            h.update(f"{r} {q} {mask:x} {v!r}\n".encode())
+    assert h.hexdigest() == VERDICT_SHA256
+
+
+# Colorings of PG(k-1, q) that fail the flat criterion at their top flat, for
+# every k up to the field's floor
+TOP_FLAT_FAILURES = {(1, 2): 0, (2, 2): 0, (3, 2): 0, (4, 2): 15456,
+                     (1, 3): 0, (2, 3): 0, (3, 3): 6240}
+
+
+def test_flat_violation_floor_by_enumeration():
+    # the condition at a flat reads only the flat's coloring, so a rank with
+    # no failing coloring of its whole geometry has no failing flat anywhere
+    for (k, q), want in TOP_FLAT_FAILURES.items():
+        space = point_space(k, q)
+        rank, connected = space.rank_of_mask, space.is_connected_mask
+        full = space.full_mask
+        failing = sum(1 for g in range(1 << space.n)
+                      if rank(g) == rank(full ^ g) and connected(g) and connected(full ^ g))
+        assert failing == want, (k, q)
+    for q in (2, 3):
+        assert FLAT_VIOLATION_FLOOR[q] == min(
+            k for (k, fq), failing in TOP_FLAT_FAILURES.items() if fq == q and failing)
+
+
+def test_forbidden_floor_is_the_least_member_rank():
+    assert (_forbidden_floor(2), _forbidden_floor(3)) == (4, 3)
+    for q in (2, 3):
+        floor = _forbidden_floor(q)
+        # catalog entries reach down to the floor and no further
+        assert min(rank for _, rank, _, _ in forbidden_catalog(q).entries) == floor
+        for k in range(1, floor):
+            assert _orbit_table(k, q)[1] == (), (k, q)
+        assert embed(circuit(6 if q == 2 else 4, q)).rank >= floor
+    # the least circuit-with-U(2,4) member sits at the GF(3) floor
+    assert embed(circuit_with_u24(3, (0,))).rank == 3
 
 
 def test_witness_on_hyperplane_replays():

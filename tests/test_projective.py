@@ -1,11 +1,14 @@
 """Tests for the projective point spaces, pinned against brute-force oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comatroid.errors import ResourceLimitError, UnsupportedFieldError
 from comatroid.projective import (
+    PointSpace,
     closure,
     enumerate_flats,
     enumerate_points,
@@ -28,8 +31,9 @@ def masks(space, max_size=None):
     return st.sets(st.integers(0, space.n - 1), max_size=max_size).map(space.mask_of)
 
 
-# each oracle test checks a tabled space, then an untabled one with masks
-# capped at 7 points so the brute-force references stay fast
+# each oracle test checks a tabled space, then an untabled one; the span
+# oracle enumerates over a basis, so its masks run to 20 points, while the
+# circuit-based oracles need masks capped near 7 points to stay fast
 
 
 @pytest.mark.parametrize("r,q", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (1, 3), (2, 3), (3, 3)])
@@ -67,7 +71,7 @@ def test_gaussian_binomial_values():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_closure_matches_brute_span_gf2(data):
-    for space, cap in ((point_space(4, 2), None), (point_space(5, 2), 7)):
+    for space, cap in ((point_space(4, 2), None), (point_space(5, 2), 20)):
         mask = data.draw(masks(space, max_size=cap))
         idxs = list(space.members_of(mask))
         got = space.closure_mask(mask)
@@ -78,12 +82,37 @@ def test_closure_matches_brute_span_gf2(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_closure_matches_brute_span_gf3(data):
-    for space, cap in ((point_space(3, 3), 6), (point_space(4, 3), 7)):
+    for space, cap in ((point_space(3, 3), None), (point_space(4, 3), 20)):
         mask = data.draw(masks(space, max_size=cap))
         idxs = list(space.members_of(mask))
         got = space.closure_mask(mask)
         assert set(space.members_of(got)) == brute_span_members(space, idxs)
         assert space.rank_of_mask(mask) == brute_rank(space, idxs)
+
+
+@pytest.mark.parametrize("r,q", [(5, 2), (4, 3)])
+def test_join_of_two_points_is_their_line(r, q):
+    # a fresh space, so every line row is filled here, in both orders of a pair
+    space = PointSpace(r, q)
+    for i in range(space.n):
+        for x in range(space.n):
+            if x != i:
+                assert space._join(1 << i, x) == space.mask_of(brute_span_members(space, [i, x]))
+
+
+def test_tabled_components_match_untabled_path():
+    # PG(3,2) reads co-spans from its closure table; a hyperplane of PG(4,2)
+    # is the same geometry, where co-spans are re-spanned by joins
+    big = point_space(5, 2)
+    rng = random.Random(21)
+    for hyperplane in big.flats_of_rank(4)[::6]:
+        sub, mapping = big.flat_embedding(hyperplane)
+        assert sub._closure_table is not None and big._closure_table is None
+        back = {j: i for i, j in mapping.items()}
+        for _ in range(60):
+            mask = rng.randrange(1 << sub.n)
+            want = sorted(big.translate_mask(b, back) for b in sub.components_mask(mask))
+            assert sorted(big.components_mask(big.translate_mask(mask, back))) == want
 
 
 @settings(max_examples=80, deadline=None)
