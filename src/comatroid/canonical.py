@@ -22,61 +22,16 @@ image of a lower flag point, and its point is code // (q - 1).
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
-from pathlib import Path
 
 from .errors import ResourceLimitError
 from .linalg import mat_apply, normalize, vec_add, vec_scale
 from .matroid import EmbeddedMatroid
-from .projective import TABLE_POINT_CAP, PointSpace, iter_bits, point_space, popcount
+from .projective import TABLE_POINT_CAP, PointSpace, iter_bits, point_space
 
 MAX_CANONICAL_RANK = 6
-CACHE_DIR_VAR = "COMATROID_CACHE_DIR"
-# Part of every disk-cache file name: raise it whenever the key's order or
-# search changes, so files written by an older version are never read.
-# tests/oracles.py pins a digest of keys (CANONICAL_KEY_SHA256); changing
-# that pin means raising CACHE_VERSION.
-CACHE_VERSION = 1
 
 _key_memo: dict[tuple[int, int, int], tuple] = {}
-
-
-def _cache_path(r: int, q: int, green: int) -> Path | None:
-    root = os.environ.get(CACHE_DIR_VAR)
-    if not root:
-        return None
-    return Path(root) / f"v{CACHE_VERSION}-{q}-{r}-{green:x}.key"
-
-
-def _cache_read(path: Path | None, space: PointSpace, green: int) -> int | None:
-    """The cached key mask of a spanning green set, unless it cannot be one.
-
-    A key is the image of the green set under an invertible map, so it has
-    the same size, lies in the same space and spans it.
-    """
-    if path is None:
-        return None
-    try:
-        best = int(path.read_text().strip(), 16)
-    except (OSError, ValueError):
-        return None
-    if (not 0 <= best <= space.full_mask or popcount(best) != popcount(green)
-            or space.rank_of_mask(best) != space.r):
-        return None
-    return best
-
-
-def _cache_write(path: Path | None, best: int) -> None:
-    if path is None:
-        return
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-        tmp.write_text(f"{best:x}\n")
-        tmp.replace(path)
-    except OSError:
-        pass
 
 
 @lru_cache(maxsize=None)
@@ -127,20 +82,12 @@ def canonical_key(M: EmbeddedMatroid) -> tuple:
     r, q = space.r, space.q
     if r > MAX_CANONICAL_RANK:
         raise ResourceLimitError(f"canonical form capped at rank {MAX_CANONICAL_RANK}, got {r}")
+    if r == 0:
+        return (q, 0, 0)
     memo_key = (r, q, m.green_mask)
     got = _key_memo.get(memo_key)
     if got is not None:
         return got
-    if r == 0:
-        result = (q, 0, 0)
-        _key_memo[memo_key] = result
-        return result
-    disk = _cache_path(r, q, m.green_mask)
-    cached = _cache_read(disk, space, m.green_mask)
-    if cached is not None:
-        result = (q, r, cached)
-        _key_memo[memo_key] = result
-        return result
     levels = _flag_table(r, q)
     sums = _code_sums(r, q)
     width = q - 1
@@ -195,7 +142,6 @@ def canonical_key(M: EmbeddedMatroid) -> tuple:
     extend(1, 0, 0)
     result = (q, r, best[0])
     _key_memo[memo_key] = result
-    _cache_write(disk, best[0])
     return result
 
 

@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .canonical import canonical_key, orbit_of
-from .catalog import TERNARY_RANK3_MINIMAL, circuit_with_u24, named
+from .catalog import (
+    TERNARY_RANK3_MINIMAL,
+    circuit,
+    circuit_with_u24,
+    graph_cycle_matroid,
+    named,
+    parallel_connection,
+    two_sum,
+)
 from .decide import decide_flat_criterion
 from .errors import ResourceLimitError
 from .matroid import EmbeddedMatroid, MatrixPresentation, embed
@@ -132,26 +140,14 @@ def _dedup_classes(space: PointSpace, masks, labeler) -> tuple[CensusClass, ...]
     return tuple(classes)
 
 
-def _fill_complement_labels(space: PointSpace, classes) -> tuple[CensusClass, ...]:
-    """Label unnamed classes whose complement carries a name."""
-    named_keys = {c.key: c.label for c in classes if c.label}
-    out = []
-    for c in classes:
-        label = c.label
-        if not label:
-            green = sum(1 << p for p in c.members)
-            ckey = canonical_key(EmbeddedMatroid(space, green).complement())
-            partner = named_keys.get(ckey)
-            if partner:
-                label = f"complement of {partner}"
-        out.append(CensusClass(c.key, c.members, c.size, c.rank, label))
-    return tuple(out)
+def _class_names(labelled) -> dict[tuple, str]:
+    """Labels by class key for (label, matroid) pairs, each complement included.
 
-
-def _ternary_rank3_names():
+    A complement takes the label "complement of <label>" unless its class
+    carries a label of its own.
+    """
     out = {}
-    for label, name in TERNARY_RANK3_MINIMAL.items():
-        m = embed(named(name))
+    for label, m in labelled:
         out[canonical_key(m)] = label
         out.setdefault(canonical_key(m.complement()), f"complement of {label}")
     return out
@@ -167,14 +163,6 @@ FIVE_VERTEX_GRAPHS = {
 }
 
 
-def _five_vertex_graphic_names():
-    """Canonical keys of the six minimal rank-4 binary graphic classes."""
-    from .catalog import graph_cycle_matroid
-
-    return {canonical_key(embed(graph_cycle_matroid(edges, 2))): name
-            for name, edges in FIVE_VERTEX_GRAPHS.items()}
-
-
 def minimal_non_comatroids(r: int, q: int) -> CensusReport:
     """Classify minimal non-comatroids of rank r over GF(q), up to equivalence."""
     t0 = time.perf_counter()
@@ -183,15 +171,16 @@ def minimal_non_comatroids(r: int, q: int) -> CensusReport:
                             (), 1 << 7, time.perf_counter() - t0)
     if (q, r) == (2, 4):
         masks, scanned = _exhaustive_minimal(4, 2)
-        names = _five_vertex_graphic_names()
+        names = _class_names((name, embed(graph_cycle_matroid(edges, 2)))
+                             for name, edges in FIVE_VERTEX_GRAPHS.items())
         classes = _dedup_classes(point_space(4, 2), masks,
                                  lambda key, green: names.get(key, ""))
-        classes = _fill_complement_labels(point_space(4, 2), classes)
         return CensusReport(2, 4, "minimal non-comatroids, exhaustive",
                             classes, scanned, time.perf_counter() - t0)
     if (q, r) == (3, 3):
         masks, scanned = _exhaustive_minimal(3, 3)
-        names = _ternary_rank3_names()
+        names = _class_names((label, embed(named(name)))
+                             for label, name in TERNARY_RANK3_MINIMAL.items())
         classes = _dedup_classes(point_space(3, 3), masks,
                                  lambda key, green: names.get(key, ""))
         return CensusReport(3, 3, "minimal non-comatroids, exhaustive",
@@ -431,7 +420,11 @@ def _connected_spanning_classes(r: int, q: int, max_size: int):
     return space, reps
 
 
-def rank5_binary_minimal_classes(max_part_size: int = 9) -> tuple[CensusClass, ...]:
+# Largest part glued to a circuit in the rank-5 gluing search.
+RANK5_MAX_PART_SIZE = 9
+
+
+def rank5_binary_minimal_classes() -> tuple[CensusClass, ...]:
     """Minimal rank-5 non-comatroids among gluings of a circuit to a small part.
 
     A rank-5 minimal non-comatroid with a series pair splits as a two-sum or
@@ -439,13 +432,11 @@ def rank5_binary_minimal_classes(max_part_size: int = 9) -> tuple[CensusClass, .
     candidate space runs over circuits glued to every connected spanning class
     of the complementary rank.
     """
-    from .catalog import circuit, parallel_connection, two_sum
-
     found: dict[tuple, int] = {}
     big = point_space(5, 2)
     for k in (3, 4, 5):
         part_rank = 7 - k
-        space, reps = _connected_spanning_classes(part_rank, 2, max_part_size)
+        space, reps = _connected_spanning_classes(part_rank, 2, RANK5_MAX_PART_SIZE)
         ck = circuit(k, 2)
         for green in reps:
             members = tuple(iter_bits(green))

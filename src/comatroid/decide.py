@@ -123,11 +123,10 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
 
 @dataclass(frozen=True)
 class ForbiddenCatalog:
-    """Fixed forbidden-flat entries for one field, plus family descriptions."""
+    """Fixed forbidden-flat entries for one field; _classify_flat adds the families."""
 
     q: int
     entries: tuple[tuple[str, int, int, tuple], ...]
-    families: tuple[str, ...]
 
     def fixed_candidates(self, rank: int, size: int):
         for name, r, n, key in self.entries:
@@ -156,11 +155,7 @@ def forbidden_catalog(q: int) -> ForbiddenCatalog:
     if q == 2:
         m = embed(named("P(U34,U34)"))
         entries.append(("P(U34,U34)", m.rank, m.n, canonical_key(m)))
-        families = ("circuit of size exceeding five",)
-    else:
-        families = ("circuit of size exceeding three",
-                    "circuit with U(2,4) two-summed on at least one element")
-    return ForbiddenCatalog(q, tuple(sorted(entries)), families)
+    return ForbiddenCatalog(q, tuple(sorted(entries)))
 
 
 @lru_cache(maxsize=None)

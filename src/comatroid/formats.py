@@ -146,8 +146,3 @@ def dumps(M: EmbeddedMatroid, style: str = "matrix") -> str:
 def load_file(path) -> EmbeddedMatroid:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def save_file(path, M: EmbeddedMatroid, style: str = "matrix") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(M, style))

@@ -45,7 +45,7 @@ def iter_bits(mask: int):
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 @dataclass(frozen=True)

@@ -226,8 +226,8 @@ CENSUS_TSV_SHA256 = {
 }
 
 # SHA-256 of canonical keys over the seeded sample that
-# tests/test_canonical.py draws; changing it means raising
-# canonical.CACHE_VERSION, since disk-cached keys would go stale
+# tests/test_canonical.py draws; changing it is a change of specification,
+# since census labels and forbidden-flat matches compare these keys
 CANONICAL_KEY_SHA256 = "3207f62abfa92b51c59f5f4df3bb7834ba4daa5c36d6e4cda5a13945e97cec23"
 
 # SHA-256 of decide_forbidden_flats verdicts and certificates (witness side,

@@ -1,4 +1,4 @@
-"""Command-line behavior: verbs, exit codes, round-trips, cache environment."""
+"""Command-line behavior: verbs, exit codes, round-trips."""
 
 import pytest
 
@@ -6,8 +6,14 @@ from comatroid.canonical import _key_memo, canonical_key
 from comatroid.catalog import catalog_names, named
 from comatroid.census import hyperplane_scan
 from comatroid.cli import main
+from comatroid.decide import (
+    decide_flat_criterion,
+    decide_forbidden_flats,
+    decide_recursive,
+    verify_certificate,
+)
 from comatroid.formats import dumps, loads
-from comatroid.matroid import embed
+from comatroid.matroid import MatrixPresentation, embed
 
 
 def run(*argv):
@@ -155,21 +161,25 @@ def test_hyperplanes_listing_sorted(capsys):
     assert sizes == sorted(sizes)
 
 
-def test_canonical_disk_cache_round_trip(tmp_path, monkeypatch):
-    base = embed(named("M5,13"))
-    M = base.restrict(base.elements[:8])
+def test_stray_key_file_changes_no_verdict(tmp_path, monkeypatch):
+    """A forged key file under COMATROID_CACHE_DIR is neither read nor written.
+
+    T+T+pt (two binary triangles and a point) is a comatroid. The planted file
+    holds the key mask of P(U34,U34), a 7-point rank-5 set like T+T+pt, under
+    the name an on-disk key cache would look up for T+T+pt.
+    """
+    e = [tuple(int(i == j) for i in range(5)) for j in range(5)]
+    cols = (e[0], e[1], (1, 1, 0, 0, 0), e[2], e[3], (0, 0, 1, 1, 0), e[4])
+    M = embed(MatrixPresentation(2, cols)).to_span()
     fresh = canonical_key(M)
+    forged = canonical_key(embed(named("P(U34,U34)")))[2]
     monkeypatch.setenv("COMATROID_CACHE_DIR", str(tmp_path))
+    planted = tmp_path / f"v1-2-5-{M.green_mask:x}.key"
+    planted.write_text(f"{forged:x}\n")
     _key_memo.clear()
+    for decide in (decide_recursive, decide_flat_criterion, decide_forbidden_flats):
+        verdict = decide(M)
+        assert verdict.is_comatroid, verdict
+        assert verify_certificate(M, verdict)
     assert canonical_key(M) == fresh
-    files = list(tmp_path.glob("*.key"))
-    assert len(files) == 1
-    _key_memo.clear()
-    assert canonical_key(M) == fresh
-    files[0].write_text("zz\n")
-    _key_memo.clear()
-    assert canonical_key(M) == fresh
-    # parseable, but not the image of an 8-point spanning set
-    files[0].write_text("1\n")
-    _key_memo.clear()
-    assert canonical_key(M) == fresh
+    assert list(tmp_path.iterdir()) == [planted]
