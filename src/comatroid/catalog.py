@@ -319,6 +319,35 @@ TERNARY_RANK3_MINIMAL = {
     "W3": "W3",
 }
 
+# The smaller side of each of the six complement pairs of rank-4 binary
+# minimal non-comatroids, as the cycle matroid of a 5-vertex graph.
+FIVE_VERTEX_GRAPHS = {
+    "M(C5)": ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1)),
+    "M(house)": ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)),
+    "M(K2,3)": ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)),
+    "M(gem)": ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (1, 4)),
+    "M(subdivided K4)": ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (2, 4)),
+    "M(K2,3)+e": ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (1, 2)),
+}
+
+
+def forbidden_fixed(q: int) -> list[tuple[str, MatrixPresentation]]:
+    """(name, presentation) of each fixed forbidden-flat member over GF(q).
+
+    Over GF(2): the six 5-vertex cycle matroids and the rank-5 P(U34,U34).
+    Over GF(3): the members of TERNARY_RANK3_MINIMAL other than U(3,4) and
+    U24+2U23, which belong to the circuit and circuit-with-U(2,4) families.
+    Family members are recognised by their parameters when flats are
+    matched, so they are not listed here.
+    """
+    if q == 2:
+        graphs = [(name, graph_cycle_matroid(edges, 2))
+                  for name, edges in FIVE_VERTEX_GRAPHS.items()]
+        return graphs + [("P(U34,U34)", named("P(U34,U34)"))]
+    return [(name, named(name))
+            for name in ("P(U23,U23)", "R6", "P(U24,U23)", "M(K4)", "W3")]
+
+
 _PATTERNS = (
     (re.compile(r"PG\((\d+),([23])\)\Z"),
      lambda m: _projective_columns(int(m.group(1)) + 1, int(m.group(2)))),

@@ -14,6 +14,7 @@ from functools import lru_cache, partial
 
 from .canonical import canonical_key, orbit_of
 from .catalog import (
+    FIVE_VERTEX_GRAPHS,
     TERNARY_RANK3_MINIMAL,
     circuit,
     circuit_with_u24,
@@ -151,16 +152,6 @@ def _class_names(labelled) -> dict[tuple, str]:
         out[canonical_key(m)] = label
         out.setdefault(canonical_key(m.complement()), f"complement of {label}")
     return out
-
-
-FIVE_VERTEX_GRAPHS = {
-    "M(C5)": ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1)),
-    "M(house)": ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)),
-    "M(K2,3)": ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)),
-    "M(gem)": ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (1, 4)),
-    "M(subdivided K4)": ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (2, 4)),
-    "M(K2,3)+e": ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (1, 2)),
-}
 
 
 def minimal_non_comatroids(r: int, q: int) -> CensusReport:

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 from .canonical import canonical_key, orbit_of
-from .catalog import TERNARY_RANK3_MINIMAL, circuit, circuit_with_u24, named
+from .catalog import TERNARY_RANK3_MINIMAL, circuit, circuit_with_u24, forbidden_fixed, named
 from .errors import ResourceLimitError
-from .formats import loads_presentation
 from .matroid import EmbeddedMatroid, embed
 from .projective import TABLE_POINT_CAP, iter_bits, point_space, popcount
 
@@ -121,41 +119,17 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
 
 # ---------------------------------------------------------- forbidden flats
 
-@dataclass(frozen=True)
-class ForbiddenCatalog:
-    """Fixed forbidden-flat entries for one field; _classify_flat adds the families."""
-
-    q: int
-    entries: tuple[tuple[str, int, int, tuple], ...]
-
-    def fixed_candidates(self, rank: int, size: int):
-        for name, r, n, key in self.entries:
-            if r == rank and n == size:
-                yield name, key
-
-
-def _forbidden_dir_presentations():
-    root = resources.files("comatroid").joinpath("data/forbidden")
-    out = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".mat"):
-            out.append((entry.name[:-4], loads_presentation(entry.read_text(encoding="utf-8"))))
-    return out
-
-
 @lru_cache(maxsize=None)
-def forbidden_catalog(q: int) -> ForbiddenCatalog:
-    """The forbidden-flat catalog for GF(q), fixed entries loaded from data files."""
+def forbidden_catalog(q: int) -> tuple[tuple[str, int, int, tuple], ...]:
+    """Fixed forbidden-flat entries for GF(q) as sorted (name, rank, size, key).
+
+    _classify_flat adds the circuit and circuit-with-U(2,4) families.
+    """
     entries = []
-    for name, pres in _forbidden_dir_presentations():
-        if pres.q != q:
-            continue
+    for name, pres in forbidden_fixed(q):
         m = embed(pres)
         entries.append((name, m.rank, m.n, canonical_key(m)))
-    if q == 2:
-        m = embed(named("P(U34,U34)"))
-        entries.append(("P(U34,U34)", m.rank, m.n, canonical_key(m)))
-    return ForbiddenCatalog(q, tuple(sorted(entries)))
+    return tuple(sorted(entries))
 
 
 @lru_cache(maxsize=None)
@@ -171,10 +145,10 @@ def _orbit_table(rank: int, q: int):
     Returns (table, names, sizes): table[mask] is 0 for no member and 1 + i
     for names[i], and sizes holds the members' sizes. Each member's orbit is
     walked from its canonical key, which lies in this same space; family
-    members come first and then the fixed entries in catalog order, the order
-    in which the key path below tries them, so a mask is named as it would be
-    there. None above TABLE_POINT_CAP points: an orbit there can run to 10^5
-    masks and more.
+    members come first and then the entries of forbidden_catalog(q) in its
+    sorted order, the order in which the key path of _classify_flat tries
+    them, so a mask is named as it would be there. None above TABLE_POINT_CAP
+    points: an orbit there can run to 10^5 masks and more.
     """
     space = point_space(rank, q)
     if space.n > TABLE_POINT_CAP:
@@ -184,7 +158,7 @@ def _orbit_table(rank: int, q: int):
         for d in range(1, rank - 1):
             k = rank + 1 - d
             members.append((f"circuit with U(2,4) family (k={k}, d={d})", _family_key(k, d)))
-    members += [(name, key) for name, r, _, key in forbidden_catalog(q).entries if r == rank]
+    members += [(name, key) for name, r, _, key in forbidden_catalog(q) if r == rank]
     table = bytearray(1 << space.n)
     for i, (_, (_, _, mask)) in enumerate(members):
         orbit_of(space, mask, table, 1 + i)
@@ -222,7 +196,9 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
             if canonical_key(EmbeddedMatroid(space, x)) == _family_key(ksig, dsig):
                 return f"circuit with U(2,4) family (k={ksig}, d={dsig})"
     key = None
-    for name, entry_key in forbidden_catalog(q).fixed_candidates(rank, size):
+    for name, r, n, entry_key in forbidden_catalog(q):
+        if (r, n) != (rank, size):
+            continue
         if key is None:
             key = canonical_key(EmbeddedMatroid(space, x))
         if key == entry_key:
@@ -238,7 +214,7 @@ def _forbidden_floor(q: int) -> int:
     than its size, and the least circuit-with-U(2,4) member, k=3 with d=1, has
     rank k - 1 + d = 3.
     """
-    ranks = [r for _, r, _, _ in forbidden_catalog(q).entries]
+    ranks = [r for _, r, _, _ in forbidden_catalog(q)]
     ranks.append(_MIN_CIRCUIT[q] - 1)
     if q == 3:
         ranks.append(3)
@@ -306,14 +282,13 @@ def _induced_minor_list(q: int) -> dict[tuple, str]:
 
     if q == 2:
         add(embed(circuit(6, 2)).complement(), "complement of a 6-circuit")
-        add(embed(named("P(U34,U34)")), "P(U34,U34)")
-        bundled = dict(_forbidden_dir_presentations())
-        for name, _, _, _ in forbidden_catalog(2).entries:
-            if name == "P(U34,U34)":
-                continue
-            m = embed(bundled[name])
+        for name, pres in forbidden_fixed(2):
+            m = embed(pres)
             add(m, name)
-            add(m.complement(), f"complement of {name}")
+            # complements of the rank-4 members only; the complement of the
+            # rank-5 P(U34,U34), a non-comatroid, is not listed
+            if m.rank == 4:
+                add(m.complement(), f"complement of {name}")
     else:
         for k in range(3, 8):
             for d in range(0, 5):

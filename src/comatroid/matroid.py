@@ -217,7 +217,7 @@ class EmbeddedMatroid:
         return tuple(self.space.members_of(b) for b in blocks)
 
     def is_connected(self, S=None) -> bool:
-        return len(self.components_of(S)) <= 1
+        return self.space.is_connected_mask(self._subset_mask(S))
 
     def vertical_connectivity(self, S=None) -> int:
         """Least k admitting a vertical k-separation of the restriction, else its rank."""

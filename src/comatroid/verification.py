@@ -8,13 +8,14 @@ import time
 from dataclasses import dataclass, field
 
 from .canonical import apply_linear_map, canonical_key
-from .catalog import TERNARY_RANK3_MINIMAL, circuit, four_hyperplane_family, named
-from .census import (
+from .catalog import (
     FIVE_VERTEX_GRAPHS,
-    SCAN_SEEDS,
-    hyperplane_scan,
-    minimal_non_comatroids,
+    TERNARY_RANK3_MINIMAL,
+    circuit,
+    four_hyperplane_family,
+    named,
 )
+from .census import SCAN_SEEDS, hyperplane_scan, minimal_non_comatroids
 from .decide import decide_flat_criterion, decide_forbidden_flats, decide_recursive
 from .matroid import EmbeddedMatroid, embed
 from .linalg import random_invertible

@@ -211,7 +211,7 @@ def forbidden_name_by_key(m):
     if q == 3 and k >= 3 and d >= 1:
         if key == canonical_key(embed(circuit_with_u24(k, range(d)))):
             return f"circuit with U(2,4) family (k={k}, d={d})"
-    for name, _, _, entry_key in forbidden_catalog(q).entries:
+    for name, _, _, entry_key in forbidden_catalog(q):
         if key == entry_key:
             return name
     return None
@@ -234,6 +234,11 @@ CANONICAL_KEY_SHA256 = "3207f62abfa92b51c59f5f4df3bb7834ba4daa5c36d6e4cda5a13945
 # members and entry name) over every coloring of PG(3,2) and PG(2,3), one line
 # per coloring as tests/test_decide.py writes it
 FORBIDDEN_FLAT_SHA256 = "fcd104faf53e4cbd047f9a90c3d38d5adcf97ed65592d3c5813815b99f7229f2"
+
+# SHA-256 of the entries of forbidden_catalog(q) and of the sorted items of
+# _induced_minor_list(q), q = 2 then 3, one repr per line as
+# tests/test_decide.py writes them
+FORBIDDEN_LIST_SHA256 = "32fde520b20d8a915231ed3e24bcd8d70d3936d4cb12bf17a1546e9e7794536e"
 
 # SHA-256 of the Verdict reprs of all three deciders over the seeded masks of
 # PG(4,2), PG(3,3), PG(5,2) and PG(4,3), and of decide_flat_criterion over every

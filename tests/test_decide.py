@@ -9,18 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comatroid.catalog import (
+    FIVE_VERTEX_GRAPHS,
     catalog_names,
     circuit,
     circuit_with_u24,
+    forbidden_fixed,
     graph_cycle_matroid,
     named,
 )
-from comatroid.census import FIVE_VERTEX_GRAPHS
 from comatroid.decide import (
     FLAT_VIOLATION_FLOOR,
     Verdict,
     _classify_flat,
     _forbidden_floor,
+    _induced_minor_list,
     _orbit_table,
     decide_flat_criterion,
     decide_forbidden_flats,
@@ -33,7 +35,12 @@ from comatroid.errors import ResourceLimitError
 from comatroid.matroid import EmbeddedMatroid, embed
 from comatroid.projective import iter_bits, point_space, popcount
 
-from oracles import FORBIDDEN_FLAT_SHA256, VERDICT_SHA256, forbidden_name_by_key
+from oracles import (
+    FORBIDDEN_FLAT_SHA256,
+    FORBIDDEN_LIST_SHA256,
+    VERDICT_SHA256,
+    forbidden_name_by_key,
+)
 
 DECIDERS = (decide_recursive, decide_flat_criterion, decide_forbidden_flats)
 
@@ -220,11 +227,22 @@ def test_malformed_certificates_fail(verdict):
 def test_forbidden_catalog_shape():
     for q in (2, 3):
         cat = forbidden_catalog(q)
-        assert len(cat.entries) == (7 if q == 2 else 5)
-        for name, rank, size, key in cat.entries:
+        assert len(cat) == (7 if q == 2 else 5)
+        for name, rank, size, key in cat:
             assert rank >= 3
             assert size >= 5
             assert key[0] == q
+
+
+def test_forbidden_lists_match_pinned_digest():
+    # the catalog entries (7 and 5) and the induced-minor lists (14 and 21)
+    h = hashlib.sha256()
+    for q in (2, 3):
+        for entry in forbidden_catalog(q):
+            h.update(f"{entry!r}\n".encode())
+        for item in sorted(_induced_minor_list(q).items()):
+            h.update(f"{item!r}\n".encode())
+    assert h.hexdigest() == FORBIDDEN_LIST_SHA256
 
 
 # Orbit sizes of the tabled forbidden members: |PGL(r, q)| over each stabilizer
@@ -247,7 +265,7 @@ def test_orbit_tables_match_key_oracle_on_tabled_spaces():
     # every spanning mask whose rank and size are those of a tabled member
     for (r, q), want in ORBIT_SIZES.items():
         space = point_space(r, q)
-        sizes = {n for _, rank, n, _ in forbidden_catalog(q).entries if rank == r}
+        sizes = {n for _, rank, n, _ in forbidden_catalog(q) if rank == r}
         if q == 3:
             sizes.add(5)  # the family member k=3, d=1
         named_count = Counter()
@@ -346,7 +364,7 @@ def test_forbidden_floor_is_the_least_member_rank():
     for q in (2, 3):
         floor = _forbidden_floor(q)
         # catalog entries reach down to the floor and no further
-        assert min(rank for _, rank, _, _ in forbidden_catalog(q).entries) == floor
+        assert min(rank for _, rank, _, _ in forbidden_catalog(q)) == floor
         for k in range(1, floor):
             assert _orbit_table(k, q)[1] == (), (k, q)
         assert embed(circuit(6 if q == 2 else 4, q)).rank >= floor
@@ -369,9 +387,7 @@ def test_witness_on_hyperplane_replays():
 
 
 def test_fixed_entries_fail_and_flats_pass():
-    from comatroid.decide import _forbidden_dir_presentations
-
-    for name, pres in _forbidden_dir_presentations():
+    for name, pres in forbidden_fixed(2) + forbidden_fixed(3):
         m = embed(pres).to_span()
         assert not decide_flat_criterion(m).is_comatroid, name
         for flat in m.flats_of():
@@ -529,23 +545,3 @@ def test_verdict_methods():
     assert decide_recursive(m).method == "recursive"
     assert decide_flat_criterion(m).method == "flat-criterion"
     assert decide_forbidden_flats(m).method == "forbidden-flat"
-
-
-def test_bundled_forbidden_files_match_their_generator():
-    import importlib.util
-    import pathlib
-
-    script = (pathlib.Path(__file__).resolve().parent.parent
-              / "scripts" / "freeze_forbidden.py")
-    spec = importlib.util.spec_from_file_location("freeze_forbidden", script)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    entries = mod.forbidden_presentations()
-    assert len(entries) == 11
-    from comatroid.formats import dumps
-
-    bundled = sorted(p.name for p in mod.OUT_DIR.glob("*.mat"))
-    assert bundled == sorted(f"{name}.mat" for name, _, _ in entries)
-    for name, comment, m in entries:
-        text = (mod.OUT_DIR / f"{name}.mat").read_text(encoding="utf-8")
-        assert text == f"# {comment}\n" + dumps(m)
