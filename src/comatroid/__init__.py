@@ -5,12 +5,8 @@ from .matroid import EmbeddedMatroid, embed
 from .projective import (
     FlatHandle,
     PointSpace,
-    closure,
-    enumerate_flats,
-    enumerate_points,
     gaussian_binomial,
     point_space,
-    rank_of,
 )
 
 __all__ = [
@@ -21,11 +17,7 @@ __all__ = [
     "ResourceLimitError",
     "SimplicityError",
     "UnsupportedFieldError",
-    "closure",
     "embed",
-    "enumerate_flats",
-    "enumerate_points",
     "gaussian_binomial",
     "point_space",
-    "rank_of",
 ]

@@ -1,8 +1,10 @@
 """Exhaustive and targeted searches over green colorings of small geometries.
 
-The minimal census classifies induced-restriction-minimal non-comatroids; the
-hyperplane scan runs the extension algorithm over a rank-5 binary seed; the
-coloring enumerator underpins the exhaustive property checks.
+The minimal census finds the non-comatroids whose restrictions to proper flats
+are all comatroids: it walks the coloring orbits of PG(2,2), PG(3,2) or
+PG(2,3) once each and runs the flat criterion only at each orbit's least mask.
+The hyperplane scan runs the extension algorithm over a rank-5 binary seed;
+the coloring enumerator underpins the exhaustive property checks.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 from .canonical import canonical_key, orbit_of
 from .catalog import (
@@ -77,56 +79,45 @@ def format_key(key: tuple | None) -> str:
 
 # ------------------------------------------------------------ minimal census
 
-@lru_cache(maxsize=None)
-def status_table(r: int, q: int) -> bytes:
-    """Flat-criterion comatroid verdict for every green mask of PG(r-1, q)."""
-    space = point_space(r, q)
-    if space.n > TABLE_POINT_CAP:
-        raise ResourceLimitError(
-            f"status table capped at {TABLE_POINT_CAP} points, space has {space.n}")
-    return bytes(decide_flat_criterion(EmbeddedMatroid(space, mask)).is_comatroid
-                 for mask in range(1 << space.n))
-
-
 def _proper_flat_masks(space: PointSpace, green: int):
     seen = set()
-    for fmask, _ in space.all_flat_masks():
-        x = fmask & green
-        if x != green and x not in seen:
-            seen.add(x)
-            yield x
+    for k in range(space.r):
+        for fmask in space.flats_of_rank(k):
+            x = fmask & green
+            if x != green and x not in seen:
+                seen.add(x)
+                yield x
 
 
 def _is_minimal_non_comatroid(space: PointSpace, green: int) -> bool:
-    """Not a comatroid, yet every restriction to a proper flat is one.
-
-    Spaces small enough for a status table read verdicts from it; larger ones
-    run the flat criterion on each restriction.
-    """
-    if space.n <= TABLE_POINT_CAP:
-        is_comatroid = status_table(space.r, space.q).__getitem__
-    else:
-        def is_comatroid(mask):
-            return decide_flat_criterion(EmbeddedMatroid(space, mask)).is_comatroid
+    """Not a comatroid, yet every restriction to a proper flat is one."""
+    def is_comatroid(mask):
+        return decide_flat_criterion(EmbeddedMatroid(space, mask)).is_comatroid
     return not is_comatroid(green) and all(
         is_comatroid(x) for x in _proper_flat_masks(space, green))
 
 
 def _exhaustive_minimal(r: int, q: int) -> tuple[list[int], int]:
-    """Masks of minimal non-comatroids of full rank, plus colorings scanned."""
+    """Orbit-least masks of full-rank minimal non-comatroids, and colorings scanned.
+
+    Rank and minimality do not change under a linear map, so each orbit is
+    decided once, at its least mask: masks are met in increasing order, and
+    orbit_of walks an orbit there and gives nothing for its other masks.
+    """
     space = point_space(r, q)
+    seen = bytearray(1 << space.n)
     out = [green for green in range(1 << space.n)
-           if space.rank_of_mask(green) == r
+           if orbit_of(space, green, seen)
+           and space.rank_of_mask(green) == r
            and _is_minimal_non_comatroid(space, green)]
     return out, 1 << space.n
 
 
 def _dedup_classes(space: PointSpace, masks, labeler) -> tuple[CensusClass, ...]:
     # Classes are grouped by walking generator orbits, and canonical_key runs
-    # once per class, on the least hit of its orbit: grouping the 15,456
-    # minimal PG(3,2) masks takes 6.5 ms this way once the class keys are
-    # memoized (2-core host, Python 3.11), against 45 s with a canonical key
-    # per mask from a cold memo.
+    # once per class, on the least hit of its orbit, not once per hit: a
+    # coloring filter can pass every mask of an orbit, and a cold canonical
+    # key costs milliseconds.
     seen = bytearray(1 << space.n)
     classes = []
     for green in sorted(masks):
@@ -157,24 +148,18 @@ def _class_names(labelled) -> dict[tuple, str]:
 def minimal_non_comatroids(r: int, q: int) -> CensusReport:
     """Classify minimal non-comatroids of rank r over GF(q), up to equivalence."""
     t0 = time.perf_counter()
-    if (q, r) == (2, 3):
-        return CensusReport(2, 3, "minimal non-comatroids, exhaustive",
-                            (), 1 << 7, time.perf_counter() - t0)
-    if (q, r) == (2, 4):
-        masks, scanned = _exhaustive_minimal(4, 2)
-        names = _class_names((name, embed(graph_cycle_matroid(edges, 2)))
-                             for name, edges in FIVE_VERTEX_GRAPHS.items())
-        classes = _dedup_classes(point_space(4, 2), masks,
+    if (q, r) in ((2, 3), (2, 4), (3, 3)):
+        if q == 2:
+            labelled = ((name, embed(graph_cycle_matroid(edges, 2)))
+                        for name, edges in FIVE_VERTEX_GRAPHS.items())
+        else:
+            labelled = ((label, embed(named(name)))
+                        for label, name in TERNARY_RANK3_MINIMAL.items())
+        names = _class_names(labelled)
+        masks, scanned = _exhaustive_minimal(r, q)
+        classes = _dedup_classes(point_space(r, q), masks,
                                  lambda key, green: names.get(key, ""))
-        return CensusReport(2, 4, "minimal non-comatroids, exhaustive",
-                            classes, scanned, time.perf_counter() - t0)
-    if (q, r) == (3, 3):
-        masks, scanned = _exhaustive_minimal(3, 3)
-        names = _class_names((label, embed(named(name)))
-                             for label, name in TERNARY_RANK3_MINIMAL.items())
-        classes = _dedup_classes(point_space(3, 3), masks,
-                                 lambda key, green: names.get(key, ""))
-        return CensusReport(3, 3, "minimal non-comatroids, exhaustive",
+        return CensusReport(q, r, "minimal non-comatroids, exhaustive",
                             classes, scanned, time.perf_counter() - t0)
     if (q, r) == (3, 4):
         return _restricted_ternary_rank4(t0)

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .canonical import canonical_key, orbit_of
-from .catalog import TERNARY_RANK3_MINIMAL, circuit, circuit_with_u24, forbidden_fixed, named
+from .catalog import circuit_with_u24, forbidden_fixed
 from .errors import ResourceLimitError
 from .matroid import EmbeddedMatroid, embed
 from .projective import TABLE_POINT_CAP, iter_bits, point_space, popcount
 
 RECURSIVE_RANK_CAP = 7
 FLAT_RANK_CAP = 6
-INDUCED_MINOR_RANK_CAP = 5
 # Lowest rank of a flat at which the flat criterion can fail, per field. The
 # condition at a flat reads only the coloring of that flat, and no coloring of
 # PG(k-1, 2) for k <= 3, or of PG(k-1, 3) for k <= 2, fails at its top flat:
@@ -257,82 +256,6 @@ def decide_forbidden_flats(M: EmbeddedMatroid) -> Verdict:
         if hit is not None:
             return Verdict(False, "forbidden-flat", ("witness", side_name) + hit)
     return Verdict(True, "forbidden-flat")
-
-
-# ------------------------------------------------------------ induced minors
-
-def _node_key(m: EmbeddedMatroid) -> tuple:
-    """Equivalence key for a spanning matroid, via the sparser of green and red."""
-    n = m.n
-    total = len(m.space.points)
-    if 2 * n <= total:
-        return ("g", m.q, m.space.r, n, canonical_key(m))
-    return ("r", m.q, m.space.r, n, canonical_key(m.complement().to_span()))
-
-
-@lru_cache(maxsize=None)
-def _induced_minor_list(q: int) -> dict[tuple, str]:
-    """Forbidden induced minors of rank at most the cap, keyed for matching."""
-    out: dict[tuple, str] = {}
-
-    def add(m, name):
-        m = m.to_span()
-        if m.rank <= INDUCED_MINOR_RANK_CAP:
-            out.setdefault(_node_key(m), name)
-
-    if q == 2:
-        add(embed(circuit(6, 2)).complement(), "complement of a 6-circuit")
-        for name, pres in forbidden_fixed(2):
-            m = embed(pres)
-            add(m, name)
-            # complements of the rank-4 members only; the complement of the
-            # rank-5 P(U34,U34), a non-comatroid, is not listed
-            if m.rank == 4:
-                add(m.complement(), f"complement of {name}")
-    else:
-        for k in range(3, 8):
-            for d in range(0, 5):
-                if (k, d) == (3, 0):
-                    # the triangle's complement is a single point, a comatroid
-                    continue
-                if k - 1 + d > INDUCED_MINOR_RANK_CAP:
-                    continue
-                member = embed(circuit_with_u24(k, range(d)))
-                add(member.complement(), f"complement of family (k={k}, d={d})")
-        for label, name in TERNARY_RANK3_MINIMAL.items():
-            m = embed(named(name))
-            add(m, label)
-            add(m.complement(), f"complement of {label}")
-    return out
-
-
-def has_forbidden_induced_minor(M: EmbeddedMatroid) -> bool:
-    """True iff flat-restrictions and si-contractions reach a forbidden list member."""
-    if M.rank > INDUCED_MINOR_RANK_CAP:
-        raise ResourceLimitError(
-            f"induced-minor search capped at rank {INDUCED_MINOR_RANK_CAP}, got {M.rank}")
-    listing = _induced_minor_list(M.q)
-    seen: set[tuple] = set()
-    stack = [M.to_span()]
-    while stack:
-        m = stack.pop()
-        # every forbidden member has rank at least 3, and neither operation
-        # increases rank, so smaller nodes are dead ends
-        if m.rank < 3:
-            continue
-        key = _node_key(m)
-        if key in seen:
-            continue
-        seen.add(key)
-        if key in listing:
-            return True
-        for flat in m.flats_of():
-            if flat.mask == m.green_mask or flat.mask == 0:
-                continue
-            stack.append(m.restrict_to_flat(flat).to_span())
-        for e in m.elements:
-            stack.append(m.si_contract(e).to_span())
-    return False
 
 
 # -------------------------------------------------------------------- replay

@@ -217,13 +217,6 @@ class PointSpace:
             out.append(m)
         return tuple(sorted(out))
 
-    def all_flat_masks(self) -> tuple[tuple[int, int], ...]:
-        """(mask, rank) for every projective flat, empty through full."""
-        out = []
-        for k in range(self.r + 1):
-            out.extend((m, k) for m in self.flats_of_rank(k))
-        return tuple(out)
-
     # ------------------------------------------------------------- components
 
     def components_mask(self, mask: int) -> tuple[int, ...]:
@@ -359,29 +352,3 @@ class PointSpace:
 def point_space(r: int, q: int) -> PointSpace:
     """Shared PointSpace instance for PG(r-1, q)."""
     return PointSpace(r, q)
-
-
-def enumerate_points(rank: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Ordered point list of PG(rank-1, q)."""
-    return point_space(rank, q).points
-
-
-def rank_of(space: PointSpace, points) -> int:
-    """Projective rank of a set of point indices."""
-    return space.rank_of_mask(space.mask_of(points))
-
-
-def closure(space: PointSpace, points) -> FlatHandle:
-    """Smallest projective flat containing the given point indices."""
-    mask = space.closure_mask(space.mask_of(points))
-    return FlatHandle(space, space.members_of(mask), space.rank_of_mask(mask))
-
-
-def enumerate_flats(space: PointSpace, k: int) -> tuple[FlatHandle, ...]:
-    """All projective flats of rank k, ordered by member tuple."""
-    out = [
-        FlatHandle(space, space.members_of(m), k)
-        for m in space.flats_of_rank(k)
-    ]
-    out.sort(key=lambda f: f.members)
-    return tuple(out)

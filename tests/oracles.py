@@ -235,10 +235,9 @@ CANONICAL_KEY_SHA256 = "3207f62abfa92b51c59f5f4df3bb7834ba4daa5c36d6e4cda5a13945
 # per coloring as tests/test_decide.py writes it
 FORBIDDEN_FLAT_SHA256 = "fcd104faf53e4cbd047f9a90c3d38d5adcf97ed65592d3c5813815b99f7229f2"
 
-# SHA-256 of the entries of forbidden_catalog(q) and of the sorted items of
-# _induced_minor_list(q), q = 2 then 3, one repr per line as
-# tests/test_decide.py writes them
-FORBIDDEN_LIST_SHA256 = "32fde520b20d8a915231ed3e24bcd8d70d3936d4cb12bf17a1546e9e7794536e"
+# SHA-256 of the entries of forbidden_catalog(q), q = 2 then 3, one repr per
+# line as tests/test_decide.py writes them
+FORBIDDEN_LIST_SHA256 = "e20acbf9bfc5e3e179cabccaec8785dbe4a809620fa9fb11a485d3c13b57fa63"
 
 # SHA-256 of the Verdict reprs of all three deciders over the seeded masks of
 # PG(4,2), PG(3,3), PG(5,2) and PG(4,3), and of decide_flat_criterion over every

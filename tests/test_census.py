@@ -6,7 +6,7 @@ import random
 import pytest
 
 from comatroid import census
-from comatroid.canonical import canonical_key
+from comatroid.canonical import canonical_key, orbit_of
 from comatroid.catalog import circuit, named
 from comatroid.census import (
     enumerate_colorings,
@@ -84,6 +84,16 @@ def test_ternary_rank3_census():
     keys = {c.key for c in rep.classes}
     for c in rep.classes:
         assert canonical_key(rebuild(space, c).complement()) in keys
+
+
+def test_census_orbits_cover_every_minimal_mask():
+    # the full-rank minimal masks that a scan of every coloring finds
+    for (r, q), count in (((4, 2), 15456), ((3, 3), 6240)):
+        space = point_space(r, q)
+        seen = bytearray(1 << space.n)
+        rep = minimal_non_comatroids(r, q)
+        assert sum(len(orbit_of(space, space.mask_of(c.members), seen))
+                   for c in rep.classes) == count
 
 
 def test_binary_rank3_census_empty():

@@ -22,13 +22,11 @@ from comatroid.decide import (
     Verdict,
     _classify_flat,
     _forbidden_floor,
-    _induced_minor_list,
     _orbit_table,
     decide_flat_criterion,
     decide_forbidden_flats,
     decide_recursive,
     forbidden_catalog,
-    has_forbidden_induced_minor,
     verify_certificate,
 )
 from comatroid.errors import ResourceLimitError
@@ -235,13 +233,11 @@ def test_forbidden_catalog_shape():
 
 
 def test_forbidden_lists_match_pinned_digest():
-    # the catalog entries (7 and 5) and the induced-minor lists (14 and 21)
+    # the catalog entries, 7 over GF(2) and 5 over GF(3)
     h = hashlib.sha256()
     for q in (2, 3):
         for entry in forbidden_catalog(q):
             h.update(f"{entry!r}\n".encode())
-        for item in sorted(_induced_minor_list(q).items()):
-            h.update(f"{item!r}\n".encode())
     assert h.hexdigest() == FORBIDDEN_LIST_SHA256
 
 
@@ -486,50 +482,6 @@ def test_connected_comatroids_vertically_connected():
             assert big.vertical_connectivity_mask(m.green_mask) >= 3
 
 
-def test_induced_minor_equivalence_sampled():
-    for space, count, seed in ((point_space(3, 3), 80, 21),
-                               (point_space(4, 2), 80, 22)):
-        rng = random.Random(seed)
-        for _ in range(count):
-            m = EmbeddedMatroid(space, rng.randrange(1 << space.n))
-            assert has_forbidden_induced_minor(m) != (
-                decide_flat_criterion(m).is_comatroid)
-
-
-def test_induced_minor_examples():
-    assert has_forbidden_induced_minor(embed(circuit(6, 2)).complement())
-    assert has_forbidden_induced_minor(embed(circuit(4, 3)))
-    assert not has_forbidden_induced_minor(embed(named("F7")))
-    space = point_space(3, 2)
-    rng = random.Random(17)
-    for _ in range(20):
-        m = EmbeddedMatroid(space, rng.randrange(1 << space.n))
-        assert not has_forbidden_induced_minor(m)
-
-
-def test_p_u34_u34_minor_structure():
-    # minimal as a flat obstruction: every proper flat-restriction is clean;
-    # not induced-minor-minimal: contracting off the gluing point leaves a
-    # triangle and a square sharing an edge, itself a forbidden member
-    from comatroid.canonical import canonical_key
-    from comatroid.catalog import graph_cycle_matroid
-
-    m = embed(named("P(U34,U34)")).to_span()
-    assert has_forbidden_induced_minor(m)
-    for flat in m.flats_of():
-        if flat.mask in (m.green_mask, 0):
-            continue
-        sub = m.restrict([i for i in m.elements if (flat.mask >> i) & 1])
-        assert not has_forbidden_induced_minor(sub)
-    house = canonical_key(embed(graph_cycle_matroid(
-        ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)), 2)))
-    hit = [e for e in m.elements
-           if has_forbidden_induced_minor(m.si_contract(e))]
-    assert hit
-    for e in hit:
-        assert canonical_key(m.si_contract(e).to_span()) == house
-
-
 def test_binary_p_u23_u23_is_a_comatroid():
     # the same gluing pattern that is forbidden over GF(3) is fine over GF(2)
     from comatroid.catalog import parallel_connection
@@ -537,7 +489,6 @@ def test_binary_p_u23_u23_is_a_comatroid():
     u23 = circuit(3, 2)
     m = embed(parallel_connection(u23, 0, u23, 0))
     assert threeway(m)
-    assert not has_forbidden_induced_minor(m)
 
 
 def test_verdict_methods():

@@ -7,15 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comatroid.errors import ResourceLimitError, UnsupportedFieldError
-from comatroid.projective import (
-    PointSpace,
-    closure,
-    enumerate_flats,
-    enumerate_points,
-    gaussian_binomial,
-    point_space,
-    rank_of,
-)
+from comatroid.projective import PointSpace, gaussian_binomial, point_space
 
 from oracles import (
     brute_components,
@@ -223,15 +215,3 @@ def test_contraction_map_fibers(r, q):
         assert set(images) == set(range(sub.n))
         for im in set(images):
             assert images.count(im) == q
-
-
-def test_module_level_interface():
-    space = point_space(3, 2)
-    assert enumerate_points(3, 2) == space.points
-    assert rank_of(space, [0, 1, 2]) == space.rank_of_mask(0b111)
-    f = closure(space, [0, 1])
-    assert f.rank == 2
-    assert set(f.members) >= {0, 1}
-    lines = enumerate_flats(space, 2)
-    assert len(lines) == 7
-    assert all(f.rank == 2 and len(f.members) == 3 for f in lines)
