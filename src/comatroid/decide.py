@@ -265,6 +265,11 @@ def verify_certificate(M: EmbeddedMatroid, verdict: Verdict) -> bool:
 
     Only a positive flat or forbidden scan ends without a witness; any other
     verdict without a certificate, and any malformed certificate, is rejected.
+    The subtrees of a recursive trace are memoized in _replay_memo by the
+    identity of their certificate object, not by its value, which cannot tell
+    a forged 1.0 from a point index 1 (see _replay). The whole trace is looked
+    up there too but not stored: top-level inputs rarely repeat, and their
+    entries would only cost memory.
     """
     cert = verdict.certificate
     if cert is None:
@@ -274,7 +279,7 @@ def verify_certificate(M: EmbeddedMatroid, verdict: Verdict) -> bool:
     match verdict.method, cert:
         case "recursive", _:
             try:
-                return _replay_rec(m, cert) == verdict.is_comatroid
+                return _replay(m, cert, store=False) == verdict.is_comatroid
             except _ReplayError:
                 return False
         case "flat-criterion", ("violating-flat", members):
@@ -298,9 +303,10 @@ def verify_certificate(M: EmbeddedMatroid, verdict: Verdict) -> bool:
 
 
 def _members_mask(space, members) -> int | None:
-    """Mask of a certificate's point list, or None unless it lists points of space."""
-    if not (isinstance(members, tuple)
-            and all(isinstance(i, int) and 0 <= i < space.n for i in members)):
+    """Mask of a certificate's point list, or None unless it is a plain tuple of
+    plain ints naming points of space (no subclass can change what it reads as)."""
+    if not (type(members) is tuple
+            and all(type(i) is int and 0 <= i < space.n for i in members)):
         return None
     return space.mask_of(members)
 
@@ -309,7 +315,48 @@ class _ReplayError(Exception):
     pass
 
 
-def _replay_rec(m: EmbeddedMatroid, cert: tuple) -> bool:
+# (r, q, green_mask) of a spanning sub-matroid -> (certificate, result), where
+# result is True or False as replayed, or None for a rejected certificate
+_replay_memo: dict[tuple[int, int, int], tuple[object, bool | None]] = {}
+
+
+def _replay(m: EmbeddedMatroid, cert, store: bool = True) -> bool:
+    """_replay_rec through _replay_memo; raises _ReplayError when cert is rejected.
+
+    A hit needs the stored certificate to be the very object replayed, not an
+    equal one: == and hash cannot tell 1.0 from 1, so a value key would let a
+    trace whose member lists hold floats borrow the verdict of the genuine
+    trace. Certificates are built of plain tuples only (_replay_rec checks
+    this), so an object replays the same way every time, and the memo keeps it
+    alive, so its identity is never reused.
+    """
+    key = (m.space.r, m.q, m.green_mask)
+    got = _replay_memo.get(key)
+    if got is not None and got[0] is cert:
+        out = got[1]
+    else:
+        try:
+            out = _replay_rec(m, cert)
+        except _ReplayError:
+            out = None
+        if store:
+            _replay_memo[key] = (cert, out)
+    if out is None:
+        raise _ReplayError
+    return out
+
+
+def _replay_rec(m: EmbeddedMatroid, cert) -> bool:
+    """Replay one step of a recursive trace on the spanning matroid m.
+
+    Each subtree goes through _replay_memo, which hits only on the same
+    certificate object, never on an equal one (see _replay), so a subtree
+    shared by many traces (the deciders share them through _rec_memo) is
+    walked once per sub-matroid. Raises _ReplayError on any step that does
+    not hold.
+    """
+    if type(cert) is not tuple:
+        raise _ReplayError
     match cert:
         case ("empty",):
             if m.green_mask != 0:
@@ -321,16 +368,16 @@ def _replay_rec(m: EmbeddedMatroid, cert: tuple) -> bool:
                     and m.space.is_connected_mask(comp.green_mask)):
                 raise _ReplayError
             return False
-        case ("components", tuple() as children):
+        case ("components", children):
             comps = m.space.components_mask(m.green_mask)
-            if len(comps) < 2 or len(comps) != len(children):
+            if type(children) is not tuple or len(comps) < 2 or len(comps) != len(children):
                 raise _ReplayError
             ok = True
             for c, child in zip(comps, children):
                 match child:
-                    case (members, sub_cert) if _members_mask(m.space, members) == c:
-                        sub = EmbeddedMatroid(m.space, c).to_span()
-                        ok = _replay_rec(sub, sub_cert) and ok
+                    case (members, sub_cert) if (type(child) is tuple
+                                                 and _members_mask(m.space, members) == c):
+                        ok = _replay(EmbeddedMatroid(m.space, c).to_span(), sub_cert) and ok
                     case _:
                         raise _ReplayError
             return ok
@@ -340,5 +387,5 @@ def _replay_rec(m: EmbeddedMatroid, cert: tuple) -> bool:
                 raise _ReplayError
             if comp.rank == m.rank and m.space.is_connected_mask(comp.green_mask):
                 raise _ReplayError
-            return _replay_rec(comp.to_span(), sub_cert)
+            return _replay(comp.to_span(), sub_cert)
     raise _ReplayError

@@ -375,21 +375,6 @@ class EmbeddedMatroid:
             labels = tuple((name, i) for name, i in self.labels if (mask >> i) & 1)
         return EmbeddedMatroid(self.space, mask, labels)
 
-    def restrict_to_flat(self, flat) -> "EmbeddedMatroid":
-        """Restriction to a flat, re-embedded in the projective span of the flat."""
-        mask = flat.mask if isinstance(flat, MatroidFlat) else self.space.mask_of(flat)
-        if mask & ~self.green_mask:
-            raise ValueError("flat members must be green")
-        if self.space.closure_mask(mask) & self.green_mask != mask:
-            raise ValueError("the given set is not a flat of the matroid")
-        cl = self.space.closure_mask(mask)
-        sub, mapping = self.space.flat_embedding(cl)
-        green = self.space.translate_mask(mask, mapping)
-        labels = None
-        if self.labels is not None:
-            labels = tuple((name, mapping[i]) for name, i in self.labels if (mask >> i) & 1)
-        return EmbeddedMatroid(sub, green, labels)
-
     def si_contract(self, e: int) -> "EmbeddedMatroid":
         """Simplification of the contraction by e, embedded in PG(r-2, q)."""
         self._subset_mask([e])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comatroid import decide
 from comatroid.catalog import (
     FIVE_VERTEX_GRAPHS,
     catalog_names,
@@ -190,16 +191,25 @@ def test_forbidden_witness_on_complement_side():
     assert verify_certificate(m, v)
 
 
+def assert_rejected_cold_and_warm(m, verdict):
+    """Replay rejects verdict with an empty replay memo, and again once the
+    memo holds m with its genuine recursive trace."""
+    decide._replay_memo.clear()
+    assert not verify_certificate(m, verdict)
+    decide._replay(m.to_span(), decide_recursive(m).certificate)
+    assert not verify_certificate(m, verdict)
+
+
 def test_tampered_certificates_fail():
     m = embed(circuit(6, 2))
     v = decide_flat_criterion(m)
     bad = type(v)(v.is_comatroid, v.method, ("violating-flat", (0, 1)))
-    assert not verify_certificate(m, bad)
+    assert_rejected_cold_and_warm(m, bad)
 
     w = decide_forbidden_flats(m)
     kind, side, members, entry = w.certificate
     bad = type(w)(w.is_comatroid, w.method, (kind, side, members, "M(C5)"))
-    assert not verify_certificate(m, bad)
+    assert_rejected_cold_and_warm(m, bad)
 
 
 @pytest.mark.parametrize("verdict", [
@@ -209,7 +219,7 @@ def test_tampered_certificates_fail():
     Verdict(False, "recursive", None),
 ], ids=["negative-flat", "negative-forbidden", "unknown-method", "recursive"])
 def test_verdicts_without_certificate_fail(verdict):
-    assert not verify_certificate(embed(circuit(6, 2)), verdict)
+    assert_rejected_cold_and_warm(embed(circuit(6, 2)), verdict)
 
 
 @pytest.mark.parametrize("verdict", [
@@ -219,7 +229,107 @@ def test_verdicts_without_certificate_fail(verdict):
     Verdict(False, "recursive", ("complement",)),
 ], ids=["short-witness", "short-flat", "point-outside-space", "short-trace"])
 def test_malformed_certificates_fail(verdict):
-    assert not verify_certificate(embed(circuit(6, 2)), verdict)
+    assert_rejected_cold_and_warm(embed(circuit(6, 2)), verdict)
+
+
+def _float_members(cert):
+    """cert with every member tuple of its components steps rewritten as floats."""
+    match cert:
+        case ("components", children):
+            return ("components", tuple((tuple(map(float, members)), _float_members(sub))
+                                        for members, sub in children))
+        case ("complement", sub):
+            return ("complement", _float_members(sub))
+    return cert
+
+
+def test_replay_memo_rejects_value_equal_forgery():
+    m = EmbeddedMatroid(point_space(4, 2), 31)
+    v = decide_recursive(m)
+    assert v.certificate[0] == "complement"
+    assert verify_certificate(m, v)
+    # the trace's member tuples all sit below its top-level complement step
+    forged = _float_members(v.certificate)
+    # 1.0 == 1 and both hash alike, so only the objects' identity tells the
+    # forged subtree from the genuine one that the replay above memoized
+    assert forged == v.certificate and hash(forged[1]) == hash(v.certificate[1])
+    assert not verify_certificate(m, Verdict(v.is_comatroid, v.method, forged))
+
+
+def test_replay_rejects_certificates_not_built_of_tuples():
+    # a list could change after it was memoized, so replay takes tuples only
+    m = EmbeddedMatroid(point_space(4, 2), 31)
+    v = decide_recursive(m)
+    listed = ("complement", list(v.certificate[1]))
+    assert_rejected_cold_and_warm(m, Verdict(v.is_comatroid, v.method, listed))
+
+
+def _rewrite_deepest(cert, rewrite):
+    """cert with its deepest step that rewrite(step) changes replaced, or None."""
+    match cert:
+        case ("components", children):
+            for i, (members, sub) in enumerate(children):
+                new = _rewrite_deepest(sub, rewrite)
+                if new is not None:
+                    return ("components", children[:i] + ((members, new),) + children[i + 1:])
+        case ("complement", sub):
+            new = _rewrite_deepest(sub, rewrite)
+            if new is not None:
+                return ("complement", new)
+    return rewrite(cert)
+
+
+def _swap_first_children(step):
+    match step:
+        case ("components", (first, second, *rest)):
+            return ("components", (second, first, *rest))
+    return None
+
+
+def _block_complement(step):
+    return ("blocked",) if step[0] == "complement" else None
+
+
+def test_replay_memo_warm_equals_cold(monkeypatch):
+    """Replay gives the same answer with the memo warm as with it emptied
+    before each verdict, on genuine and tampered recursive traces."""
+    replayed = set()
+    calls = [0]
+    replay_rec = decide._replay_rec
+
+    def counted(m, cert):
+        replayed.add((m.space.r, m.q, m.green_mask))
+        calls[0] += 1
+        return replay_rec(m, cert)
+
+    monkeypatch.setattr(decide, "_replay_rec", counted)
+    pg23 = point_space(3, 3)
+    inputs = [EmbeddedMatroid(pg23, mask) for mask in range(1 << pg23.n)]
+    for r, q, count, seed in ((4, 2, 300, 61), (5, 2, 60, 62), (4, 3, 30, 63)):
+        space = point_space(r, q)
+        inputs += [EmbeddedMatroid(space, mask) for mask in _seeded_masks(space, count, seed)]
+    cases = []
+    for m in inputs:
+        v = decide_recursive(m)
+        cases.append((m, v, "genuine"))
+        cases.append((m, Verdict(not v.is_comatroid, v.method, v.certificate), "flipped"))
+        for kind, rewrite in (("swapped", _swap_first_children), ("blocked", _block_complement)):
+            bad = _rewrite_deepest(v.certificate, rewrite)
+            if bad is not None:
+                cases.append((m, Verdict(v.is_comatroid, v.method, bad), kind))
+    assert len({kind for _, _, kind in cases}) == 4
+
+    decide._replay_memo.clear()
+    warm = [verify_certificate(m, v) for m, v, _ in cases]
+    warm_calls = calls[0]
+    # one entry per replayed sub-matroid at most: the memo is keyed by matroid
+    assert set(decide._replay_memo) <= replayed
+    cold = []
+    for m, v, _ in cases:
+        decide._replay_memo.clear()
+        cold.append(verify_certificate(m, v))
+    assert warm == cold == [kind == "genuine" for _, _, kind in cases]
+    assert warm_calls < calls[0] - warm_calls
 
 
 def test_forbidden_catalog_shape():
@@ -379,7 +489,7 @@ def test_witness_on_hyperplane_replays():
     assert (space.r, space.rank_of_mask(space.mask_of(members))) == (5, 4)
     assert verify_certificate(m, v)
     forged = Verdict(False, "forbidden-flat", (kind, side, members, "M(gem)"))
-    assert not verify_certificate(m, forged)
+    assert_rejected_cold_and_warm(m, forged)
 
 
 def test_fixed_entries_fail_and_flats_pass():

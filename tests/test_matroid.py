@@ -287,20 +287,6 @@ def test_si_contract_rank_one():
     assert got.space.r == 0 and got.n == 0
 
 
-def test_restrict_to_flat():
-    m = embed(parallel_u34_u34())
-    whole = m.restrict_to_flat(m.elements)
-    assert whole.n == m.n and whole.rank == m.rank
-    single = m.restrict_to_flat([m.elements[0]])
-    assert single.n == 1 and single.space.r == 1
-    geometry = full_geometry(3, 2)
-    hyper = geometry.space.flats_of_rank(2)[0]
-    sub = geometry.restrict_to_flat(geometry.space.members_of(hyper))
-    assert sub.space.r == 2 and sub.green_mask == sub.space.full_mask
-    with pytest.raises(ValueError):
-        geometry.restrict_to_flat(geometry.elements[:2])
-
-
 def test_connected_hyperplanes_simple_cases():
     geometry = full_geometry(3, 2)
     assert len(geometry.connected_hyperplanes()) == 7
