@@ -2,22 +2,15 @@
 
 from .errors import FormatError, ResourceLimitError, SimplicityError, UnsupportedFieldError
 from .matroid import EmbeddedMatroid, embed
-from .projective import (
-    FlatHandle,
-    PointSpace,
-    gaussian_binomial,
-    point_space,
-)
+from .projective import PointSpace, point_space
 
 __all__ = [
     "EmbeddedMatroid",
-    "FlatHandle",
     "FormatError",
     "PointSpace",
     "ResourceLimitError",
     "SimplicityError",
     "UnsupportedFieldError",
     "embed",
-    "gaussian_binomial",
     "point_space",
 ]

@@ -215,9 +215,3 @@ def apply_linear_map(M: EmbeddedMatroid, mat) -> EmbeddedMatroid:
     perm = point_permutation(M.space, mat)
     return EmbeddedMatroid(M.space, M.space.translate_mask(M.green_mask, perm))
 
-
-def is_isomorphic(M: EmbeddedMatroid, N: EmbeddedMatroid) -> bool:
-    """Projective equivalence test via canonical keys, with cheap-invariant shortcuts."""
-    if M.q != N.q or M.rank != N.rank or M.n != N.n:
-        return False
-    return canonical_key(M) == canonical_key(N)

@@ -10,6 +10,7 @@ the coloring enumerator underpins the exhaustive property checks.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -339,7 +340,8 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     a depth-first search that adds spare points in increasing order and
     updates i point by point. Its first branches, fixed by a pattern on the
     first few spare points, are the blocks that run in this process or in
-    pool workers; their results merge in pattern order, then sort.
+    pool workers, at most one per core whatever jobs asks for; their results
+    merge in pattern order, then sort.
     """
     m = seed.to_span()
     if m.q != 2 or m.space.r != 5:
@@ -354,13 +356,16 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     seed_j = None
     if seed_i < GREEN_HYPERPLANE_BOUND:
         seed_j = _red_count(tables[1], [0] * len(tables[1]))
-    # the fewest prefix bits that give every job a block
-    prefix_bits = min(max(jobs - 1, 0).bit_length(), len(ext))
+    # a pool starts all its workers at its first map, so more than one per
+    # core would only add processes
+    workers = min(jobs, os.cpu_count() or 1)
+    # the fewest prefix bits that give every worker a block
+    prefix_bits = min(max(workers - 1, 0).bit_length(), len(ext))
     block = partial(_scan_block, len(ext), tables, max_extra, prefix_bits)
-    if jobs > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(block, range(1 << prefix_bits)))
     else:
         results = list(map(block, range(1 << prefix_bits)))

@@ -128,8 +128,8 @@ def _cmd_hyperplanes(args, out) -> int:
         print(len(flats), file=out)
         return EXIT_OK
     print("size\tmembers", file=out)
-    for f in sorted(flats, key=lambda f: (len(f.members), f.members)):
-        print(f"{len(f.members)}\t{','.join(str(i) for i in f.members)}", file=out)
+    for members in sorted((tuple(iter_bits(h)) for h in flats), key=lambda f: (len(f), f)):
+        print(f"{len(members)}\t{','.join(map(str, members))}", file=out)
     return EXIT_OK
 
 

@@ -23,7 +23,10 @@ FLAT_RANK_CAP = 6
 # Lowest rank of a flat at which the flat criterion can fail, per field. The
 # condition at a flat reads only the coloring of that flat, and no coloring of
 # PG(k-1, 2) for k <= 3, or of PG(k-1, 3) for k <= 2, fails at its top flat:
-# an enumeration of every coloring proves it (tests/test_decide.py).
+# an enumeration of every coloring proves it (tests/test_decide.py). Both flat
+# scans start here. A forbidden member is a minimal non-comatroid, so it fails
+# the criterion and can fail it only at its own top flat, whose rank is the
+# member's rank: no member lies below the floor.
 FLAT_VIOLATION_FLOOR = {2: 4, 3: 3}
 # Fewest points of a forbidden circuit: six over GF(2), four over GF(3)
 _MIN_CIRCUIT = {2: 6, 3: 4}
@@ -205,27 +208,12 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _forbidden_floor(q: int) -> int:
-    """Least rank of a forbidden member over GF(q): 4 over GF(2), 3 over GF(3).
-
-    Catalog entries carry their ranks. A forbidden circuit has rank one less
-    than its size, and the least circuit-with-U(2,4) member, k=3 with d=1, has
-    rank k - 1 + d = 3.
-    """
-    ranks = [r for _, r, _, _ in forbidden_catalog(q)]
-    ranks.append(_MIN_CIRCUIT[q] - 1)
-    if q == 3:
-        ranks.append(3)
-    return min(ranks)
-
-
 def _match_forbidden(side: EmbeddedMatroid):
     """First (flat members, entry name) match on one side, or None.
 
-    Only flats of rank _forbidden_floor(q) and up can hold a forbidden member,
-    so only those are scanned; each matroid flat is visited once, at its own
-    closure.
+    A forbidden member has rank FLAT_VIOLATION_FLOOR[q] or more (see there),
+    so only flats of those ranks are scanned; each matroid flat is visited
+    once, at its own closure.
     """
     if side.green_mask == 0:
         return None
@@ -234,7 +222,7 @@ def _match_forbidden(side: EmbeddedMatroid):
     green = m.green_mask
     # top-rank flats first: circuits and family members sit at the span, so
     # dense non-members are rejected before the wide low-rank levels
-    for frank in range(space.r, _forbidden_floor(space.q) - 1, -1):
+    for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
         for fmask in space.flats_of_rank(frank):
             x = fmask & green
             if x == 0 or space.closure_mask(x) != fmask:

@@ -48,9 +48,8 @@ class Echelon:
     returns the expression of a vector in terms of it.
     """
 
-    def __init__(self, q: int, dim: int):
+    def __init__(self, q: int):
         self.q = check_field(q)
-        self.dim = dim
         self.rows: list[Vec] = []
         self.combos: list[Vec] = []  # combo[i][j]: coefficient of basis vector j in row i
         self.pivots: list[int] = []
@@ -98,11 +97,8 @@ class Echelon:
         return tuple((self.q - c) % self.q for c in combo)
 
 
-def gf_rank(vectors: Iterable[Vec], q: int, dim: int | None = None) -> int:
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    ech = Echelon(q, dim if dim is not None else len(vectors[0]))
+def gf_rank(vectors: Iterable[Vec], q: int) -> int:
+    ech = Echelon(q)
     for v in vectors:
         ech.insert(v)
     return ech.rank

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ResourceLimitError, SimplicityError
 from .linalg import Echelon, check_field, normalize
-from .projective import FlatHandle, PointSpace, iter_bits, point_space, popcount
+from .projective import PointSpace, iter_bits, point_space, popcount
 
 BRUTE_FORCE_CAP = 24
 
@@ -68,23 +68,6 @@ class MatrixPresentation:
 
 
 @dataclass(frozen=True)
-class MatroidFlat:
-    """A flat of an embedded matroid: its members and minimal projective span."""
-
-    matroid: "EmbeddedMatroid"
-    members: tuple[int, ...]
-    span: FlatHandle
-
-    @property
-    def rank(self) -> int:
-        return self.span.rank
-
-    @property
-    def mask(self) -> int:
-        return self.matroid.space.mask_of(self.members)
-
-
-@dataclass(frozen=True)
 class EmbeddedMatroid:
     """A green point subset of PG(r-1, q); red is the complement point set."""
 
@@ -113,7 +96,7 @@ class EmbeddedMatroid:
 
     @property
     def elements(self) -> tuple[int, ...]:
-        return self.space.members_of(self.green_mask)
+        return tuple(iter_bits(self.green_mask))
 
     @property
     def red_mask(self) -> int:
@@ -139,8 +122,6 @@ class EmbeddedMatroid:
         return self.space.mask_of(self.label_to_index[name] for name in names)
 
     def _subset_mask(self, S) -> int:
-        if S is None:
-            return self.green_mask
         m = self.space.mask_of(S)
         if m & ~self.green_mask:
             raise ValueError("subset contains non-green points")
@@ -149,29 +130,7 @@ class EmbeddedMatroid:
     def __repr__(self):
         return f"EmbeddedMatroid({self.space!r}, n={self.n}, rank={self.rank})"
 
-    # ------------------------------------------------------------ rank & flats
-
-    def rank_of(self, S=None) -> int:
-        return self.space.rank_of_mask(self._subset_mask(S))
-
-    def _span_flat_masks(self):
-        """(flat mask in ambient coordinates, rank) over all flats of the green span."""
-        for k in range(self.rank + 1):
-            for fmask in self._span_flats_of_rank(k):
-                yield fmask, k
-
-    def flats_of(self) -> list[MatroidFlat]:
-        """All flats of the matroid, each with its minimal projective span."""
-        seen = set()
-        for fmask, _ in self._span_flat_masks():
-            seen.add(fmask & self.green_mask)
-        out = []
-        for inter in seen:
-            cl = self.space.closure_mask(inter)
-            span = FlatHandle(self.space, self.space.members_of(cl), self.space.rank_of_mask(cl))
-            out.append(MatroidFlat(self, self.space.members_of(inter), span))
-        out.sort(key=lambda f: (f.rank, f.members))
-        return out
+    # ------------------------------------------------------------------ flats
 
     def _span_flats_of_rank(self, j: int):
         """Ambient masks of the rank-j projective flats of the green span."""
@@ -195,81 +154,27 @@ class EmbeddedMatroid:
                 seen.add(inter)
         return tuple(sorted(seen))
 
-    def connected_hyperplanes(self) -> list[MatroidFlat]:
-        """Hyperplane flats whose restriction is connected.
+    def connected_hyperplanes(self) -> tuple[int, ...]:
+        """The masks of hyperplane_masks() whose restriction is connected, in its order.
 
         Empty and single-point restrictions count as connected.
         """
-        out = []
-        for inter in self.hyperplane_masks():
-            if self.space.is_connected_mask(inter):
-                cl = self.space.closure_mask(inter)
-                span = FlatHandle(self.space, self.space.members_of(cl), self.space.rank_of_mask(cl))
-                out.append(MatroidFlat(self, self.space.members_of(inter), span))
-        out.sort(key=lambda f: f.members)
-        return out
+        return tuple(h for h in self.hyperplane_masks() if self.space.is_connected_mask(h))
 
     # ------------------------------------------------------------ connectivity
 
-    def components_of(self, S=None) -> tuple[tuple[int, ...], ...]:
-        """Connected components of the restriction to S, coloops as singletons."""
-        blocks = self.space.components_mask(self._subset_mask(S))
-        return tuple(self.space.members_of(b) for b in blocks)
+    def components_of(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components, coloops as singletons."""
+        return tuple(tuple(iter_bits(b)) for b in self.space.components_mask(self.green_mask))
 
-    def is_connected(self, S=None) -> bool:
-        return self.space.is_connected_mask(self._subset_mask(S))
+    def is_connected(self) -> bool:
+        return self.space.is_connected_mask(self.green_mask)
 
-    def vertical_connectivity(self, S=None) -> int:
-        """Least k admitting a vertical k-separation of the restriction, else its rank."""
-        mask = self._subset_mask(S)
-        size = popcount(mask)
-        if size > BRUTE_FORCE_CAP:
-            raise ResourceLimitError(f"vertical connectivity capped at {BRUTE_FORCE_CAP} elements, got {size}")
-        return self.space.vertical_connectivity_mask(mask)
-
-    # ---------------------------------------------------------------- circuits
-
-    def circuits(self, S=None, size_cap: int | None = None) -> list[tuple[int, ...]]:
-        """All minimal dependent subsets of S with size at most size_cap."""
-        mask = self._subset_mask(S)
-        idxs = self.space.members_of(mask)
-        if len(idxs) > BRUTE_FORCE_CAP:
-            raise ResourceLimitError(f"circuit enumeration capped at {BRUTE_FORCE_CAP} elements, got {len(idxs)}")
-        rank = self.space.rank_of_mask
-        top = rank(mask) + 1
-        if size_cap is not None:
-            top = min(top, size_cap)
-        out = []
-        for size in range(2, top + 1):
-            for combo in itertools.combinations(idxs, size):
-                m = self.space.mask_of(combo)
-                if rank(m) != size - 1:
-                    continue
-                if all(rank(m ^ (1 << x)) == size - 1 for x in combo):
-                    out.append(combo)
-        return out
-
-    def is_coloop(self, e: int) -> bool:
-        mask = self._subset_mask([e])
-        return self.space.rank_of_mask(self.green_mask ^ mask) == self.rank - 1
-
-    def is_free_element(self, e: int) -> bool:
-        """True iff e is not a coloop and every circuit through e is spanning."""
-        emask = self._subset_mask([e])
-        if self.is_coloop(e):
-            return False
-        rank = self.space.rank_of_mask
-        k = self.rank
-        others = self.space.members_of(self.green_mask ^ emask)
-        # non-spanning circuits have at most k elements
-        for size in range(2, k + 1):
-            for combo in itertools.combinations(others, size - 1):
-                m = self.space.mask_of(combo) | emask
-                if rank(m) != size - 1:
-                    continue
-                if all(rank(m ^ (1 << x)) == size - 1 for x in iter_bits(m)):
-                    return False
-        return True
+    def vertical_connectivity(self) -> int:
+        """Least k admitting a vertical k-separation, else the rank."""
+        if self.n > BRUTE_FORCE_CAP:
+            raise ResourceLimitError(f"vertical connectivity capped at {BRUTE_FORCE_CAP} elements, got {self.n}")
+        return self.space.vertical_connectivity_mask(self.green_mask)
 
     # -------------------------------------------------------------- cocircuits
 
@@ -391,7 +296,7 @@ class EmbeddedMatroid:
 
 def _trim_rows(pres: MatrixPresentation) -> MatrixPresentation:
     """Re-coordinatize onto a column basis so row count equals rank."""
-    ech = Echelon(pres.q, pres.rows)
+    ech = Echelon(pres.q)
     for c in pres.columns:
         ech.insert(c)
     if ech.rank == pres.rows:

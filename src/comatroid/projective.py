@@ -14,7 +14,6 @@ exhaustive searches and the co-spans of components rely on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ResourceLimitError
@@ -26,17 +25,6 @@ MAX_SPACE_RANK = 8
 TABLE_POINT_CAP = 15
 
 
-def gaussian_binomial(r: int, k: int, q: int) -> int:
-    """Number of rank-k subspaces of GF(q)^r."""
-    if k < 0 or k > r:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (r - i) - 1
-        den *= q ** (k - i) - 1
-    return num // den
-
-
 def iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -46,19 +34,6 @@ def iter_bits(mask: int):
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
-
-
-@dataclass(frozen=True)
-class FlatHandle:
-    """A projective flat: its point members and projective rank."""
-
-    space: "PointSpace"
-    members: tuple[int, ...]
-    rank: int
-
-    @property
-    def mask(self) -> int:
-        return self.space.mask_of(self.members)
 
 
 class PointSpace:
@@ -178,9 +153,6 @@ class PointSpace:
         for i in members:
             m |= 1 << i
         return m
-
-    def members_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(iter_bits(mask))
 
     # ------------------------------------------------------------------ flats
 
@@ -306,7 +278,7 @@ class PointSpace:
         if got is not None:
             return got
         members = list(iter_bits(flat_mask))
-        ech = Echelon(self.q, self.r)
+        ech = Echelon(self.q)
         for i in members:
             ech.insert(self.points[i])
         sub = point_space(ech.rank, self.q)
@@ -332,7 +304,7 @@ class PointSpace:
         if got is not None:
             return got
         sub = point_space(self.r - 1, self.q)
-        ech = Echelon(self.q, self.r)
+        ech = Echelon(self.q)
         for i in [e, *range(self.n)]:
             ech.insert(self.points[i])
         # coords in basis order with e first; the image drops the e-coordinate

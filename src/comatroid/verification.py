@@ -43,17 +43,10 @@ class CriterionResult:
         return f"{self.status} {self.name}: {self.detail} [{self.seconds:.1f}s]"
 
 
-class VerificationContext:
-    """Settings shared across checks: the worker count for the extension scans."""
-
-    def __init__(self, jobs: int = 1):
-        self.jobs = max(1, int(jobs))
-
-
 # ----------------------------------------------------------------- criteria
 
 
-def _c_decider_agreement(ctx: VerificationContext):
+def _c_decider_agreement(jobs: int):
     parts = []
     ok = True
     for r, q in ((4, 2), (3, 3)):
@@ -74,7 +67,7 @@ def _c_decider_agreement(ctx: VerificationContext):
     return ok, "; ".join(parts)
 
 
-def _c_circuit_law(ctx: VerificationContext):
+def _c_circuit_law(jobs: int):
     rows = []
     ok = True
     for q, top in ((2, 8), (3, 7)):
@@ -100,7 +93,7 @@ def _complement_pairs(report):
             for p in pairs]
 
 
-def _c_binary_rank4_census(ctx: VerificationContext):
+def _c_binary_rank4_census(jobs: int):
     report = minimal_non_comatroids(4, 2)
     pairs = _complement_pairs(report)
     graph_names = set(FIVE_VERTEX_GRAPHS)
@@ -118,7 +111,7 @@ def _c_binary_rank4_census(ctx: VerificationContext):
     return ok, detail
 
 
-def _c_ternary_rank3_census(ctx: VerificationContext):
+def _c_ternary_rank3_census(jobs: int):
     report = minimal_non_comatroids(3, 3)
     pairs = _complement_pairs(report)
     target_keys = {canonical_key(embed(named(name))): label
@@ -138,23 +131,23 @@ def _c_ternary_rank3_census(ctx: VerificationContext):
     return ok, detail
 
 
-def _c_f77_hyperplanes(ctx: VerificationContext):
+def _c_f77_hyperplanes(jobs: int):
     count = len(embed(named("f77")).connected_hyperplanes())
     return count == 27, f"f77 has {count} connected hyperplanes"
 
 
-def _c_hyperplane_counts(ctx: VerificationContext):
+def _c_hyperplane_counts(jobs: int):
     k33 = len(embed(named("K33")).connected_hyperplanes())
     pg42 = len(embed(named("PG(4,2)")).hyperplane_masks())
     ok = k33 == 6 and pg42 == 31
     return ok, f"M(K3,3): {k33} connected hyperplanes; PG(4,2): {pg42} hyperplanes"
 
 
-def _c_extension_scans(ctx: VerificationContext):
+def _c_extension_scans(jobs: int):
     parts = []
     ok = True
     for name in SCAN_SEEDS:
-        scan = hyperplane_scan(embed(named(name)), max_extra=10, jobs=ctx.jobs)
+        scan = hyperplane_scan(embed(named(name)), max_extra=10, jobs=jobs)
         spare = 31 - len(scan.seed_members)
         expected = sum(math.comb(spare, s) for s in range(11))
         ok &= scan.survivors == () and scan.scanned == expected
@@ -163,7 +156,7 @@ def _c_extension_scans(ctx: VerificationContext):
     return ok, "; ".join(parts)
 
 
-def _c_hyperplane_spot_checks(ctx: VerificationContext):
+def _c_hyperplane_spot_checks(jobs: int):
     cases = (
         ("Delta5", "ejklm"),
         ("T12/e", "fghij"),
@@ -176,7 +169,7 @@ def _c_hyperplane_spot_checks(ctx: VerificationContext):
     for name, labels in cases:
         M = embed(named(name))
         want = M.mask_of_labels(labels)
-        hit = any(h.mask == want for h in M.connected_hyperplanes())
+        hit = want in M.connected_hyperplanes()
         ok &= hit
         parts.append(f"{name}:{{{','.join(labels)}}}={'Y' if hit else 'N'}")
     M = embed(named("M5,13"))
@@ -208,7 +201,7 @@ def _is_exception_pair(space, green):
     return space.rank_of_mask(triangle) == 2
 
 
-def _c_connectivity_sum(ctx: VerificationContext):
+def _c_connectivity_sum(jobs: int):
     parts = []
     ok = True
     for r, q in ((3, 2), (4, 2), (3, 3)):
@@ -233,7 +226,7 @@ def _is_circuit_mask(space, m, k):
     return all(space.rank_of_mask(m ^ (1 << e)) == k for e in iter_bits(m))
 
 
-def _c_connected_hyperplane_guarantees(ctx: VerificationContext):
+def _c_connected_hyperplane_guarantees(jobs: int):
     parts = []
     ok = True
 
@@ -314,7 +307,7 @@ def _c_connected_hyperplane_guarantees(ctx: VerificationContext):
     return ok, "; ".join(parts)
 
 
-def _c_comatroid_closure(ctx: VerificationContext):
+def _c_comatroid_closure(jobs: int):
     parts = []
     ok = True
     for r, q in ((4, 2), (3, 3)):
@@ -356,7 +349,7 @@ def _c_comatroid_closure(ctx: VerificationContext):
     return ok, "; ".join(parts)
 
 
-def _c_complement_well_defined(ctx: VerificationContext):
+def _c_complement_well_defined(jobs: int):
     rng = random.Random(RNG_SEED)
     small = ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3))
     mismatches = 0
@@ -401,24 +394,21 @@ def criterion_names() -> tuple[str, ...]:
     return tuple(name for name, _ in _CRITERIA)
 
 
-def run_criterion(name: str, ctx: VerificationContext | None = None) -> CriterionResult:
-    """Run one acceptance check by name."""
+def run_criterion(name: str, jobs: int = 1) -> CriterionResult:
+    """Run one acceptance check by name; jobs is the extension scans' worker count."""
     funcs = dict(_CRITERIA)
     if name not in funcs:
         raise ValueError(f"unknown criterion {name!r}; known: {criterion_names()}")
-    if ctx is None:
-        ctx = VerificationContext()
     start = time.perf_counter()
-    passed, detail = funcs[name](ctx)
+    passed, detail = funcs[name](jobs)
     return CriterionResult(name, passed, detail, time.perf_counter() - start)
 
 
 def run_all(names=None, jobs: int = 1, progress=None) -> tuple[CriterionResult, ...]:
     """Run the acceptance manifest; progress receives each result as it lands."""
-    ctx = VerificationContext(jobs=jobs)
     out = []
     for name in names if names is not None else criterion_names():
-        res = run_criterion(name, ctx)
+        res = run_criterion(name, jobs)
         if progress is not None:
             progress(res)
         out.append(res)

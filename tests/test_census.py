@@ -1,6 +1,8 @@
 """Tests for the minimal census, the hyperplane scan, and coloring enumeration."""
 
+import concurrent.futures
 import hashlib
+import os
 import random
 
 import pytest
@@ -64,11 +66,10 @@ def test_binary_rank4_census_members_are_minimal():
         for decide in (decide_recursive, decide_flat_criterion,
                        decide_forbidden_flats):
             assert not decide(m).is_comatroid
-        for flat in m.flats_of():
-            if flat.mask in (m.green_mask, 0):
-                continue
-            sub = m.restrict(flat.members)
-            assert decide_flat_criterion(sub).is_comatroid
+        # every proper flat of a rank-4 member is its trace on a proper flat of PG(3,2)
+        proper = {f & m.green_mask for k in range(space.r) for f in space.flats_of_rank(k)}
+        for x in proper:
+            assert decide_flat_criterion(EmbeddedMatroid(space, x)).is_comatroid
 
 
 def test_ternary_rank3_census():
@@ -173,9 +174,11 @@ def _binom(n, k):
     return math.comb(n, k)
 
 
-def test_scan_determinism_across_workers():
+def test_scan_determinism_across_workers(monkeypatch):
     # with jobs=4 at max_extra <= 1 one prefix pattern holds more points than
-    # an extension may add, and its block must scan nothing
+    # an extension may add, and its block must scan nothing; four cores let
+    # jobs=4 make four blocks on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for name in ("extra-1", "f77"):
         seed = embed(named(name))
         for max_extra in (0, 1, 3):
@@ -183,6 +186,32 @@ def test_scan_determinism_across_workers():
             for jobs in (2, 4):
                 other = hyperplane_scan(seed, max_extra, jobs=jobs)
                 assert one == other, (name, max_extra, jobs)
+
+
+def test_scan_workers_capped_at_core_count(monkeypatch):
+    """A huge --jobs asks the pool for no more workers than there are cores.
+
+    The pool is replaced by one that runs the blocks in this process, so the
+    test starts no process.
+    """
+    class InProcessPool:
+        def __init__(self, max_workers):
+            if max_workers > os.cpu_count():
+                raise AssertionError(f"{max_workers} workers on {os.cpu_count()} cores")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    seed = embed(named("m2-1"))
+    assert hyperplane_scan(seed, 1, jobs=10**6) == hyperplane_scan(seed, 1, jobs=1)
 
 
 # j_computed at max_extra=6, taken from the scan before the depth-first search

@@ -22,7 +22,6 @@ from comatroid.decide import (
     FLAT_VIOLATION_FLOOR,
     Verdict,
     _classify_flat,
-    _forbidden_floor,
     _orbit_table,
     decide_flat_criterion,
     decide_forbidden_flats,
@@ -466,9 +465,9 @@ def test_flat_violation_floor_by_enumeration():
 
 
 def test_forbidden_floor_is_the_least_member_rank():
-    assert (_forbidden_floor(2), _forbidden_floor(3)) == (4, 3)
+    # _match_forbidden scans from FLAT_VIOLATION_FLOOR: no member lies below it
     for q in (2, 3):
-        floor = _forbidden_floor(q)
+        floor = FLAT_VIOLATION_FLOOR[q]
         # catalog entries reach down to the floor and no further
         assert min(rank for _, rank, _, _ in forbidden_catalog(q)) == floor
         for k in range(1, floor):
@@ -495,12 +494,12 @@ def test_witness_on_hyperplane_replays():
 def test_fixed_entries_fail_and_flats_pass():
     for name, pres in forbidden_fixed(2) + forbidden_fixed(3):
         m = embed(pres).to_span()
+        space = m.space
         assert not decide_flat_criterion(m).is_comatroid, name
-        for flat in m.flats_of():
-            if flat.mask in (m.green_mask, 0):
-                continue
-            sub = m.restrict([i for i in m.elements if (flat.mask >> i) & 1])
-            assert decide_flat_criterion(sub).is_comatroid, (name, flat.members)
+        # m spans its space, so its proper flats are its traces on proper flats
+        proper = {f & m.green_mask for k in range(space.r) for f in space.flats_of_rank(k)}
+        for x in proper:
+            assert decide_flat_criterion(EmbeddedMatroid(space, x)).is_comatroid, (name, x)
 
 
 def test_direct_sum_of_comatroids():
@@ -563,10 +562,8 @@ def test_closure_under_flats_and_minors():
     for space, count, seed in ((point_space(3, 3), 40, 3),
                                (point_space(4, 2), 40, 4)):
         for m in _comatroid_sample(space, count, seed):
-            for flat in m.flats_of():
-                sub = m.restrict([i for i in m.elements
-                                  if (flat.mask >> i) & 1])
-                assert decide_flat_criterion(sub).is_comatroid
+            for x in {f & m.green_mask for k in range(space.r) for f in space.flats_of_rank(k)}:
+                assert decide_flat_criterion(EmbeddedMatroid(space, x)).is_comatroid
             for e in m.elements:
                 assert decide_flat_criterion(m.si_contract(e)).is_comatroid
             for comp in space.components_mask(m.green_mask):

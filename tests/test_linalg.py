@@ -54,10 +54,10 @@ def test_normalize_scaling_invariant(v, s):
 
 @given(vs=vectors(3, 4))
 def test_echelon_coords_reconstruct(vs):
-    ech = Echelon(3, 4)
+    ech = Echelon(3)
     basis = [v for v in vs if ech.insert(v)]
     # the greedy basis is independent and spans every vector given
-    assert gf_rank(basis, 3, 4) == len(basis) == gf_rank(vs, 3, 4)
+    assert gf_rank(basis, 3) == len(basis) == gf_rank(vs, 3)
     for v in vs:
         c = ech.coords(v)
         assert c is not None and len(c) == len(basis)
@@ -69,7 +69,7 @@ def test_echelon_coords_reconstruct(vs):
 
 @given(vs=vectors(2, 5, max_count=7))
 def test_echelon_rank_matches_contains(vs):
-    ech = Echelon(2, 5)
+    ech = Echelon(2)
     grew = [ech.insert(v) for v in vs]
     assert ech.rank == sum(grew)
     for v in vs:
@@ -84,9 +84,9 @@ def test_echelon_rank_matches_contains(vs):
 
 @given(vs=vectors(3, 3, max_count=6))
 def test_greedy_basis_is_independent_and_spanning(vs):
-    ech = Echelon(3, 3)
+    ech = Echelon(3)
     chosen = [v for v in vs if ech.insert(v)]
-    assert gf_rank(chosen, 3, 3) == len(chosen) == gf_rank(vs, 3, 3)
+    assert gf_rank(chosen, 3) == len(chosen) == gf_rank(vs, 3)
 
 
 def test_random_invertible_and_apply():
