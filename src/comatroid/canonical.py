@@ -77,14 +77,13 @@ def _code_sums(r: int, q: int) -> list[int]:
 
 def canonical_key(M: EmbeddedMatroid) -> tuple:
     """Key equal for two matroids iff a linear map carries one green set to the other."""
-    m = M.to_span()
-    space = m.space
+    space, green = M.space.spanned(M.green_mask)
     r, q = space.r, space.q
     if r > MAX_CANONICAL_RANK:
         raise ResourceLimitError(f"canonical form capped at rank {MAX_CANONICAL_RANK}, got {r}")
     if r == 0:
         return (q, 0, 0)
-    memo_key = (r, q, m.green_mask)
+    memo_key = (r, q, green)
     got = _key_memo.get(memo_key)
     if got is not None:
         return got
@@ -92,7 +91,6 @@ def canonical_key(M: EmbeddedMatroid) -> tuple:
     sums = _code_sums(r, q)
     width = q - 1
     stride = space.n * width + 1
-    green = m.green_mask
     # the point bit of each code's point if it is green, else 0
     green_bit = [green & (1 << (c // width)) for c in range(stride)]
     members = list(iter_bits(green))

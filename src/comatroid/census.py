@@ -2,7 +2,8 @@
 
 The minimal census finds the non-comatroids whose restrictions to proper flats
 are all comatroids: it walks the coloring orbits of PG(2,2), PG(3,2) or
-PG(2,3) once each and runs the flat criterion only at each orbit's least mask.
+PG(2,3) once each and scans the flats of each orbit's least mask once, for
+the full space as its only flat that violates the flat criterion.
 The hyperplane scan runs the extension algorithm over a rank-5 binary seed;
 the coloring enumerator underpins the exhaustive property checks.
 """
@@ -26,7 +27,7 @@ from .catalog import (
     parallel_connection,
     two_sum,
 )
-from .decide import decide_flat_criterion
+from .decide import _violating_flats
 from .errors import ResourceLimitError
 from .matroid import EmbeddedMatroid, MatrixPresentation, embed
 from .projective import TABLE_POINT_CAP, PointSpace, iter_bits, point_space, popcount
@@ -80,22 +81,23 @@ def format_key(key: tuple | None) -> str:
 
 # ------------------------------------------------------------ minimal census
 
-def _proper_flat_masks(space: PointSpace, green: int):
-    seen = set()
-    for k in range(space.r):
-        for fmask in space.flats_of_rank(k):
-            x = fmask & green
-            if x != green and x not in seen:
-                seen.add(x)
-                yield x
-
-
 def _is_minimal_non_comatroid(space: PointSpace, green: int) -> bool:
-    """Not a comatroid, yet every restriction to a proper flat is one."""
-    def is_comatroid(mask):
-        return decide_flat_criterion(EmbeddedMatroid(space, mask)).is_comatroid
-    return not is_comatroid(green) and all(
-        is_comatroid(x) for x in _proper_flat_masks(space, green))
+    """Not a comatroid, yet every restriction to a proper flat is one.
+
+    For green spanning space this holds iff the full space is green's only
+    violating flat, the only flat F at which r(F ∩ G) = r(F − G) with both
+    sides connected. Such an F is spanned by its green part: the points of F
+    off a proper subspace of F span F, so if either side had rank below r(F)
+    the other would have rank r(F). A restriction to a proper flat is a
+    comatroid iff no violating flat lies in its span, since the condition at
+    a flat reads only that flat's coloring. So a violating F below the full
+    space makes the restriction to F, which spans F, fail at its own top flat;
+    and if the full space is the only violating flat, green fails and no
+    proper restriction does. No flat below FLAT_VIOLATION_FLOOR violates, so
+    _violating_flats, which starts there, yields every violating flat.
+    """
+    flats = _violating_flats(space, green)
+    return next(flats, None) == space.full_mask and next(flats, None) is None
 
 
 def _exhaustive_minimal(r: int, q: int) -> tuple[list[int], int]:

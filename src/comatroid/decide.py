@@ -5,6 +5,11 @@ complements inside projective space. The recursive decider follows that
 definition directly; the flat-criterion decider checks the equal-rank flat
 condition; the forbidden-flat decider matches flats of the matroid and its
 complement against a finite catalog plus unbounded families.
+
+The deciders and the replay take an EmbeddedMatroid at the door and work on
+(space, green) pairs inside: green is a mask spanning space, a complement is
+space.full_mask ^ green, and a component or a flat's green set is moved into
+its own span by PointSpace.spanned.
 """
 
 from __future__ import annotations
@@ -46,31 +51,30 @@ class Verdict:
 _rec_memo: dict[tuple[int, int, int], tuple[bool, tuple]] = {}
 
 
-def _decide_rec(m: EmbeddedMatroid) -> tuple[bool, tuple]:
-    """Decision and trace for a matroid spanning its own space."""
-    key = (m.space.r, m.q, m.green_mask)
+def _decide_rec(space, green: int) -> tuple[bool, tuple]:
+    """Decision and trace for a green set spanning space."""
+    key = (space.r, space.q, green)
     got = _rec_memo.get(key)
     if got is not None:
         return got
-    if m.green_mask == 0:
+    if green == 0:
         out = (True, ("empty",))
     else:
-        comps = m.space.components_mask(m.green_mask)
+        comps = space.components_mask(green)
         if len(comps) > 1:
             children = []
             ok = True
             for c in comps:
-                sub = EmbeddedMatroid(m.space, c).to_span()
-                good, cert = _decide_rec(sub)
+                good, cert = _decide_rec(*space.spanned(c))
                 children.append((tuple(iter_bits(c)), cert))
                 ok = ok and good
             out = (ok, ("components", tuple(children)))
         else:
-            comp = m.complement()
-            if comp.rank == m.rank and m.space.is_connected_mask(comp.green_mask):
+            red = space.full_mask ^ green
+            if space.rank_of_mask(red) == space.r and space.is_connected_mask(red):
                 out = (False, ("blocked",))
             else:
-                good, cert = _decide_rec(comp.to_span())
+                good, cert = _decide_rec(*space.spanned(red))
                 out = (good, ("complement", cert))
     _rec_memo[key] = out
     return out
@@ -81,11 +85,29 @@ def decide_recursive(M: EmbeddedMatroid) -> Verdict:
     if M.rank > RECURSIVE_RANK_CAP:
         raise ResourceLimitError(
             f"recursive decision capped at rank {RECURSIVE_RANK_CAP}, got {M.rank}")
-    ok, cert = _decide_rec(M.to_span())
+    ok, cert = _decide_rec(*M.space.spanned(M.green_mask))
     return Verdict(ok, "recursive", cert)
 
 
 # ------------------------------------------------------------ flat criterion
+
+def _violating_flats(space, green: int):
+    """The flats F of space, from FLAT_VIOLATION_FLOOR up, at which the green set
+    fails the flat criterion: r(F ∩ G) = r(F − G) and both sides connected.
+
+    Top rank first and levels streamed lazily: both sides spanning and
+    connected is the common failure, so most non-comatroids yield the full
+    space before any lower level of the flat lattice is built.
+    """
+    rank = space.rank_of_mask
+    connected = space.is_connected_mask
+    for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
+        for fmask in space.flats_of_rank(frank):
+            x = fmask & green
+            y = fmask & ~green
+            if rank(x) == rank(y) and connected(x) and connected(y):
+                yield fmask
+
 
 def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
     """Decide via the equal-rank flat condition on the span of the matroid.
@@ -97,26 +119,10 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
     if M.rank > FLAT_RANK_CAP:
         raise ResourceLimitError(
             f"flat criterion capped at rank {FLAT_RANK_CAP}, got {M.rank}")
-    m = M.to_span()
-    if m.green_mask == 0:
+    fmask = next(_violating_flats(*M.space.spanned(M.green_mask)), None)
+    if fmask is None:
         return Verdict(True, "flat-criterion")
-    space = m.space
-    green = m.green_mask
-    rank = space.rank_of_mask
-    connected = space.is_connected_mask
-    # top rank first and levels streamed lazily: both sides spanning and
-    # connected is the common failure, so most non-comatroids exit on the
-    # full space before any lower level of the flat lattice is built
-    for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
-        for fmask in space.flats_of_rank(frank):
-            x = fmask & green
-            y = fmask & ~green
-            if rank(x) != rank(y):
-                continue
-            if connected(x) and connected(y):
-                return Verdict(False, "flat-criterion",
-                               ("violating-flat", tuple(iter_bits(fmask))))
-    return Verdict(True, "flat-criterion")
+    return Verdict(False, "flat-criterion", ("violating-flat", tuple(iter_bits(fmask))))
 
 
 # ---------------------------------------------------------- forbidden flats
@@ -125,7 +131,7 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
 def forbidden_catalog(q: int) -> tuple[tuple[str, int, int, tuple], ...]:
     """Fixed forbidden-flat entries for GF(q) as sorted (name, rank, size, key).
 
-    _classify_flat adds the circuit and circuit-with-U(2,4) families.
+    _members adds the circuit-with-U(2,4) family; _classify_flat tests circuits.
     """
     entries = []
     for name, pres in forbidden_fixed(q):
@@ -135,91 +141,79 @@ def forbidden_catalog(q: int) -> tuple[tuple[str, int, int, tuple], ...]:
 
 
 @lru_cache(maxsize=None)
-def _family_key(k: int, d: int) -> tuple:
-    """Canonical key of the k-circuit with d two-summed copies of U(2,4)."""
-    return canonical_key(embed(circuit_with_u24(k, range(d))))
+def _members(rank: int, q: int) -> dict[tuple, str]:
+    """The forbidden members of rank `rank` other than circuits, {canonical key: name}.
+
+    First the circuit-with-U(2,4) family members over GF(3): a k-circuit with
+    d copies of U(2,4) two-summed on has rank k + d - 1, and d of its k
+    elements carry a copy, so k + d = rank + 1 with 1 <= d <= k and k >= 3.
+    Then the entries of forbidden_catalog(q) of that rank, in its sorted
+    order. A key listed twice keeps its first name.
+    """
+    out = {}
+    if q == 3:
+        for d in range(1, min((rank + 1) // 2, rank - 2) + 1):
+            k = rank + 1 - d
+            key = canonical_key(embed(circuit_with_u24(k, range(d))))
+            out.setdefault(key, f"circuit with U(2,4) family (k={k}, d={d})")
+    for name, r, _, key in forbidden_catalog(q):
+        if r == rank:
+            out.setdefault(key, name)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _orbit_table(rank: int, q: int):
-    """The forbidden members of rank `rank` as a lookup over every mask of PG(rank-1, q).
+    """The members of _members(rank, q) as a lookup over every mask of PG(rank-1, q).
 
-    Returns (table, names, sizes): table[mask] is 0 for no member and 1 + i
-    for names[i], and sizes holds the members' sizes. Each member's orbit is
-    walked from its canonical key, which lies in this same space; family
-    members come first and then the entries of forbidden_catalog(q) in its
-    sorted order, the order in which the key path of _classify_flat tries
-    them, so a mask is named as it would be there. None above TABLE_POINT_CAP
-    points: an orbit there can run to 10^5 masks and more.
+    Returns (table, names): table[mask] is 0 for no member and 1 + i for
+    names[i]. Each member's orbit is walked from its canonical key, which lies
+    in this same space, in the order of _members, so a mask is named as the
+    key lookup would name it. None above TABLE_POINT_CAP points: an orbit
+    there can run to 10^5 masks and more.
     """
     space = point_space(rank, q)
     if space.n > TABLE_POINT_CAP:
         return None
-    members = []
-    if q == 3:
-        for d in range(1, rank - 1):
-            k = rank + 1 - d
-            members.append((f"circuit with U(2,4) family (k={k}, d={d})", _family_key(k, d)))
-    members += [(name, key) for name, r, _, key in forbidden_catalog(q) if r == rank]
+    members = _members(rank, q)
     table = bytearray(1 << space.n)
-    for i, (_, (_, _, mask)) in enumerate(members):
+    for i, (_, _, mask) in enumerate(members):
         orbit_of(space, mask, table, 1 + i)
-    names = tuple(name for name, _ in members)
-    sizes = frozenset(popcount(key[2]) for _, key in members)
-    return table, names, sizes
+    return table, tuple(members.values())
 
 
 def _classify_flat(space, x: int, rank: int) -> str | None:
     """Name of the forbidden member that the rank-`rank` green set x is, if any.
 
-    The circuit test is cheapest and comes first. A rank whose geometry
-    PG(rank-1, q) has an orbit table then reads it, after translating x into
-    that geometry when x does not span the space; only members of higher rank
-    need a canonical key, and only when a member has x's rank and size.
+    The circuit test is cheapest and comes first. Then x must have the size
+    of a member of its rank. A rank whose geometry PG(rank-1, q) has an orbit
+    table reads it at x moved into its own span. Elsewhere a connected x is
+    looked up by canonical key: every member is minimal, and so connected.
     """
     size = popcount(x)
     q = space.q
     if size == rank + 1 and size >= _MIN_CIRCUIT[q] and space.is_connected_mask(x):
         return f"circuit of size {size}"
+    members = _members(rank, q)
+    if all(popcount(key[2]) != size for key in members):
+        return None
     tabled = _orbit_table(rank, q)
     if tabled is not None:
-        table, names, sizes = tabled
-        if size not in sizes:
-            return None
-        if rank < space.r:
-            _, mapping = space.flat_embedding(space.closure_mask(x))
-            x = space.translate_mask(x, mapping)
-        hit = table[x]
+        table, names = tabled
+        hit = table[space.spanned(x)[1]]
         return names[hit - 1] if hit else None
-    if q == 3:
-        ksig = 2 * (rank + 1) - size
-        dsig = size - rank - 1
-        if ksig >= 3 and dsig >= 1 and space.is_connected_mask(x):
-            if canonical_key(EmbeddedMatroid(space, x)) == _family_key(ksig, dsig):
-                return f"circuit with U(2,4) family (k={ksig}, d={dsig})"
-    key = None
-    for name, r, n, entry_key in forbidden_catalog(q):
-        if (r, n) != (rank, size):
-            continue
-        if key is None:
-            key = canonical_key(EmbeddedMatroid(space, x))
-        if key == entry_key:
-            return name
-    return None
+    if not space.is_connected_mask(x):
+        return None
+    return members.get(canonical_key(EmbeddedMatroid(space, x)))
 
 
-def _match_forbidden(side: EmbeddedMatroid):
-    """First (flat members, entry name) match on one side, or None.
+def _match_forbidden(space, green: int):
+    """First (flat members, entry name) match for a green set spanning space, or None.
 
     A forbidden member has rank FLAT_VIOLATION_FLOOR[q] or more (see there),
     so only flats of those ranks are scanned; each matroid flat is visited
     once, at its own closure.
     """
-    if side.green_mask == 0:
-        return None
-    m = side.to_span()
-    space = m.space
-    green = m.green_mask
     # top-rank flats first: circuits and family members sit at the span, so
     # dense non-members are rejected before the wide low-rank levels
     for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
@@ -238,9 +232,9 @@ def decide_forbidden_flats(M: EmbeddedMatroid) -> Verdict:
     if M.rank > FLAT_RANK_CAP:
         raise ResourceLimitError(
             f"forbidden-flat decision capped at rank {FLAT_RANK_CAP}, got {M.rank}")
-    m = M.to_span()
-    for side_name, side in (("M", m), ("M^c", m.complement())):
-        hit = _match_forbidden(side)
+    space, green = M.space.spanned(M.green_mask)
+    for side_name, side in (("M", green), ("M^c", space.full_mask ^ green)):
+        hit = _match_forbidden(*space.spanned(side))
         if hit is not None:
             return Verdict(False, "forbidden-flat", ("witness", side_name) + hit)
     return Verdict(True, "forbidden-flat")
@@ -262,30 +256,30 @@ def verify_certificate(M: EmbeddedMatroid, verdict: Verdict) -> bool:
     cert = verdict.certificate
     if cert is None:
         return verdict.is_comatroid and verdict.method in ("flat-criterion", "forbidden-flat")
-    m = M.to_span()
-    space = m.space
+    space, green = M.space.spanned(M.green_mask)
     match verdict.method, cert:
         case "recursive", _:
             try:
-                return _replay(m, cert, store=False) == verdict.is_comatroid
+                return _replay(space, green, cert, store=False) == verdict.is_comatroid
             except _ReplayError:
                 return False
         case "flat-criterion", ("violating-flat", members):
             fmask = _members_mask(space, members)
             if fmask is None or space.closure_mask(fmask) != fmask:
                 return False
-            x = fmask & m.green_mask
-            y = fmask & ~m.green_mask
+            x = fmask & green
+            y = fmask & ~green
             return (space.rank_of_mask(x) == space.rank_of_mask(y)
                     and space.is_connected_mask(x)
                     and space.is_connected_mask(y)
                     and not verdict.is_comatroid)
         case "forbidden-flat", ("witness", "M" | "M^c" as side_name, members, entry):
-            side = m if side_name == "M" else m.complement().to_span()
-            x = _members_mask(side.space, members)
-            if x is None or side.space.closure_mask(x) & side.green_mask != x:
+            if side_name == "M^c":
+                space, green = space.spanned(space.full_mask ^ green)
+            x = _members_mask(space, members)
+            if x is None or space.closure_mask(x) & green != x:
                 return False
-            hit = _classify_flat(side.space, x, side.space.rank_of_mask(x))
+            hit = _classify_flat(space, x, space.rank_of_mask(x))
             return hit == entry and not verdict.is_comatroid
     return False
 
@@ -303,12 +297,12 @@ class _ReplayError(Exception):
     pass
 
 
-# (r, q, green_mask) of a spanning sub-matroid -> (certificate, result), where
-# result is True or False as replayed, or None for a rejected certificate
+# (r, q, green) of a spanning green set -> (certificate, result), where result
+# is True or False as replayed, or None for a rejected certificate
 _replay_memo: dict[tuple[int, int, int], tuple[object, bool | None]] = {}
 
 
-def _replay(m: EmbeddedMatroid, cert, store: bool = True) -> bool:
+def _replay(space, green: int, cert, store: bool = True) -> bool:
     """_replay_rec through _replay_memo; raises _ReplayError when cert is rejected.
 
     A hit needs the stored certificate to be the very object replayed, not an
@@ -318,13 +312,13 @@ def _replay(m: EmbeddedMatroid, cert, store: bool = True) -> bool:
     this), so an object replays the same way every time, and the memo keeps it
     alive, so its identity is never reused.
     """
-    key = (m.space.r, m.q, m.green_mask)
+    key = (space.r, space.q, green)
     got = _replay_memo.get(key)
     if got is not None and got[0] is cert:
         out = got[1]
     else:
         try:
-            out = _replay_rec(m, cert)
+            out = _replay_rec(space, green, cert)
         except _ReplayError:
             out = None
         if store:
@@ -334,8 +328,8 @@ def _replay(m: EmbeddedMatroid, cert, store: bool = True) -> bool:
     return out
 
 
-def _replay_rec(m: EmbeddedMatroid, cert) -> bool:
-    """Replay one step of a recursive trace on the spanning matroid m.
+def _replay_rec(space, green: int, cert) -> bool:
+    """Replay one step of a recursive trace on a green set spanning space.
 
     Each subtree goes through _replay_memo, which hits only on the same
     certificate object, never on an equal one (see _replay), so a subtree
@@ -347,33 +341,33 @@ def _replay_rec(m: EmbeddedMatroid, cert) -> bool:
         raise _ReplayError
     match cert:
         case ("empty",):
-            if m.green_mask != 0:
+            if green != 0:
                 raise _ReplayError
             return True
         case ("blocked",):
-            comp = m.complement()
-            if not (m.is_connected() and comp.rank == m.rank
-                    and m.space.is_connected_mask(comp.green_mask)):
+            red = space.full_mask ^ green
+            if not (space.is_connected_mask(green) and space.rank_of_mask(red) == space.r
+                    and space.is_connected_mask(red)):
                 raise _ReplayError
             return False
         case ("components", children):
-            comps = m.space.components_mask(m.green_mask)
+            comps = space.components_mask(green)
             if type(children) is not tuple or len(comps) < 2 or len(comps) != len(children):
                 raise _ReplayError
             ok = True
             for c, child in zip(comps, children):
                 match child:
                     case (members, sub_cert) if (type(child) is tuple
-                                                 and _members_mask(m.space, members) == c):
-                        ok = _replay(EmbeddedMatroid(m.space, c).to_span(), sub_cert) and ok
+                                                 and _members_mask(space, members) == c):
+                        ok = _replay(*space.spanned(c), sub_cert) and ok
                     case _:
                         raise _ReplayError
             return ok
         case ("complement", sub_cert):
-            comp = m.complement()
-            if not m.is_connected():
+            red = space.full_mask ^ green
+            if not space.is_connected_mask(green):
                 raise _ReplayError
-            if comp.rank == m.rank and m.space.is_connected_mask(comp.green_mask):
+            if space.rank_of_mask(red) == space.r and space.is_connected_mask(red):
                 raise _ReplayError
-            return _replay(comp.to_span(), sub_cert)
+            return _replay(*space.spanned(red), sub_cert)
     raise _ReplayError

@@ -18,26 +18,6 @@ from .projective import PointSpace, iter_bits, point_space, popcount
 BRUTE_FORCE_CAP = 24
 
 
-class _memoized:
-    """An attribute computed on first read and stored in the instance dict.
-
-    functools.cached_property does the same but, in Python 3.11, takes a lock
-    on every first read. The values here are pure functions of a frozen
-    instance, so two racing first reads would store equal values.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class MatrixPresentation:
     """A GF(q) matrix given column by column, with optional column labels."""
@@ -102,11 +82,11 @@ class EmbeddedMatroid:
     def red_mask(self) -> int:
         return self.space.full_mask & ~self.green_mask
 
-    @_memoized
+    @property
     def rank(self) -> int:
         return self.space.rank_of_mask(self.green_mask)
 
-    @_memoized
+    @property
     def span_mask(self) -> int:
         return self.space.closure_mask(self.green_mask)
 
@@ -114,12 +94,13 @@ class EmbeddedMatroid:
     def is_spanning(self) -> bool:
         return self.rank == self.space.r
 
-    @_memoized
+    @property
     def label_to_index(self) -> dict[str, int]:
         return dict(self.labels or ())
 
     def mask_of_labels(self, names) -> int:
-        return self.space.mask_of(self.label_to_index[name] for name in names)
+        index = self.label_to_index
+        return self.space.mask_of(index[name] for name in names)
 
     def _subset_mask(self, S) -> int:
         m = self.space.mask_of(S)

@@ -294,6 +294,17 @@ class PointSpace:
             out |= 1 << mapping[i]
         return out
 
+    def spanned(self, mask: int) -> tuple["PointSpace", int]:
+        """The point set mask re-embedded in its own span: (space, mask) spans space.
+
+        Gives (self, mask) back when mask already spans this space.
+        """
+        span = self.closure_mask(mask)
+        if span == self.full_mask:
+            return self, mask
+        sub, mapping = self.flat_embedding(span)
+        return sub, self.translate_mask(mask, mapping)
+
     def contraction_map(self, e: int) -> tuple["PointSpace", list[int | None]]:
         """Projection of the whole space along point e onto PG(r-2, q).
 

@@ -2,9 +2,11 @@
 
 Everything here recomputes from first principles (coefficient enumeration
 over coordinate vectors, textbook definitions) without touching the library's
-own rank, closure, or connectivity machinery. The one exception is
-`forbidden_name_by_key`, which names forbidden members by canonical keys, the
-mechanism the forbidden-flat orbit tables stand in for.
+own rank, closure, or connectivity machinery. There are two exceptions:
+`forbidden_name_by_key` names forbidden members by canonical keys, the
+mechanism the forbidden-flat orbit tables stand in for, and
+`minimal_by_proper_flats` runs the flat criterion on every proper flat
+restriction, the definition that the census's single flat scan stands in for.
 """
 
 import functools
@@ -12,8 +14,8 @@ import itertools
 
 from comatroid.canonical import canonical_key
 from comatroid.catalog import circuit, circuit_with_u24
-from comatroid.decide import forbidden_catalog
-from comatroid.matroid import embed
+from comatroid.decide import decide_flat_criterion, forbidden_catalog
+from comatroid.matroid import EmbeddedMatroid, embed
 
 
 def norm_point(v, q):
@@ -215,6 +217,19 @@ def forbidden_name_by_key(m):
         if key == entry_key:
             return name
     return None
+
+
+def minimal_by_proper_flats(space, green):
+    """Not a comatroid, yet every restriction to a proper flat is one.
+
+    The flat criterion decides green and then each distinct trace of green on
+    a proper flat of space, other than green itself.
+    """
+    def is_comatroid(mask):
+        return decide_flat_criterion(EmbeddedMatroid(space, mask)).is_comatroid
+    proper = {f & green for k in range(space.r) for f in space.flats_of_rank(k)}
+    proper.discard(green)
+    return not is_comatroid(green) and all(is_comatroid(x) for x in proper)
 
 
 # SHA-256 of minimal_non_comatroids(r, q).to_tsv(), pinned so any change to the

@@ -26,7 +26,7 @@ from comatroid.errors import ResourceLimitError
 from comatroid.matroid import EmbeddedMatroid, embed
 from comatroid.projective import iter_bits, point_space
 
-from oracles import CENSUS_TSV_SHA256
+from oracles import CENSUS_TSV_SHA256, minimal_by_proper_flats
 
 
 def rebuild(space, cls):
@@ -70,6 +70,27 @@ def test_binary_rank4_census_members_are_minimal():
         proper = {f & m.green_mask for k in range(space.r) for f in space.flats_of_rank(k)}
         for x in proper:
             assert decide_flat_criterion(EmbeddedMatroid(space, x)).is_comatroid
+
+
+def test_minimality_from_one_flat_scan_matches_definition():
+    """The census's one-scan minimality agrees with deciding every proper flat
+    restriction, in spaces whose span sits above the flat criterion's floor."""
+    cases = []
+    for r, q, seed in ((5, 2, 71), (4, 3, 72)):
+        space = point_space(r, q)
+        rng = random.Random(seed)
+        masks = [space.mask_of(rng.sample(range(space.n), rng.randint(r, space.n)))
+                 for _ in range(40)]
+        cases += [(space, g) for g in masks if space.rank_of_mask(g) == r]
+    pg42 = point_space(5, 2)
+    for name in ("C(6,2)", "P(U34,U34)"):
+        m = embed(named(name)).to_span()
+        assert m.space is pg42
+        cases += [(pg42, m.green_mask), (pg42, m.red_mask)]
+    assert len(cases) > 60
+    got = [census._is_minimal_non_comatroid(space, g) for space, g in cases]
+    assert got == [minimal_by_proper_flats(space, g) for space, g in cases]
+    assert got[-4:] == [True] * 4
 
 
 def test_ternary_rank3_census():

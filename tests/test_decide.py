@@ -195,7 +195,7 @@ def assert_rejected_cold_and_warm(m, verdict):
     memo holds m with its genuine recursive trace."""
     decide._replay_memo.clear()
     assert not verify_certificate(m, verdict)
-    decide._replay(m.to_span(), decide_recursive(m).certificate)
+    decide._replay(*m.space.spanned(m.green_mask), decide_recursive(m).certificate)
     assert not verify_certificate(m, verdict)
 
 
@@ -296,10 +296,10 @@ def test_replay_memo_warm_equals_cold(monkeypatch):
     calls = [0]
     replay_rec = decide._replay_rec
 
-    def counted(m, cert):
-        replayed.add((m.space.r, m.q, m.green_mask))
+    def counted(space, green, cert):
+        replayed.add((space.r, space.q, green))
         calls[0] += 1
-        return replay_rec(m, cert)
+        return replay_rec(space, green, cert)
 
     monkeypatch.setattr(decide, "_replay_rec", counted)
     pg23 = point_space(3, 3)
@@ -329,6 +329,43 @@ def test_replay_memo_warm_equals_cold(monkeypatch):
         cold.append(verify_certificate(m, v))
     assert warm == cold == [kind == "genuine" for _, _, kind in cases]
     assert warm_calls < calls[0] - warm_calls
+
+
+def test_deciders_and_replay_build_no_embedded_matroid(monkeypatch):
+    """Past their entry points the deciders and the replay work on masks: with
+    the member tables built and the decision memos empty, deciding and
+    replaying every coloring of PG(2,3) and a slice of PG(3,2) builds no
+    EmbeddedMatroid."""
+    for r, q in ((4, 2), (3, 3)):
+        _orbit_table(r, q)
+    decide._rec_memo.clear()
+    decide._replay_memo.clear()
+    pg23, pg32 = point_space(3, 3), point_space(4, 2)
+    inputs = [EmbeddedMatroid(pg23, mask) for mask in range(1 << pg23.n)]
+    inputs += [EmbeddedMatroid(pg32, mask) for mask in range(0, 1 << pg32.n, 61)]
+    built = [0]
+    post_init = EmbeddedMatroid.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(EmbeddedMatroid, "__post_init__", counted)
+    for m in inputs:
+        for decider in DECIDERS:
+            assert verify_certificate(m, decider(m))
+    assert built[0] == 0
+
+
+def test_rank6_ternary_size_without_family_member():
+    # 11 points of rank 6 read as the family signature k=3, d=4, but a
+    # 3-circuit has no 4 elements to carry U(2,4)s: no member has that size
+    space = point_space(6, 3)
+    x = space.mask_of((32, 60, 68, 107, 130, 194, 230, 241, 253, 291, 333))
+    assert space.rank_of_mask(x) == 6
+    assert _classify_flat(space, x, 6) is None
+    assert set(decide._members(6, 3).values()) == {
+        f"circuit with U(2,4) family (k={k}, d={d})" for k, d in ((6, 1), (5, 2), (4, 3))}
 
 
 def test_forbidden_catalog_shape():
@@ -361,7 +398,7 @@ ORBIT_SIZES = {
 
 def test_orbit_table_sizes():
     for (r, q), want in ORBIT_SIZES.items():
-        table, names, _ = _orbit_table(r, q)
+        table, names = _orbit_table(r, q)
         counts = Counter(table)
         assert {names[i - 1]: c for i, c in counts.items() if i} == want
 
