@@ -11,10 +11,11 @@ the coloring enumerator underpins the exhaustive property checks.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 from .canonical import canonical_key, orbit_of
 from .catalog import (
@@ -269,6 +270,13 @@ def _red_count(red_tables, idx: list[int]) -> int:
     return sum(rt[x] for rt, x in zip(red_tables, idx))
 
 
+@lru_cache(maxsize=None)
+def _subtree_size(points: int, budget: int) -> int:
+    """Nodes of a search subtree: its root plus each way to add at most budget
+    of the given number of later spare points."""
+    return sum(math.comb(points, d) for d in range(budget + 1))
+
+
 def _descend(steps, red_tables, spare: int, start: int, budget: int,
              smask: int, idx: list[int], i: int, found: list) -> None:
     """Record extension smask, then those adding up to budget more spare points.
@@ -279,13 +287,23 @@ def _descend(steps, red_tables, spare: int, start: int, budget: int,
     copy of idx, and moves i by the change of each green entry, so returning
     leaves the parent's state as it was. found collects
     [scanned, j_computed, survivors].
+
+    The green count never falls as points are added: if the green trace x of
+    a hyperplane H is connected and spans H, any point p of H lies in cl(x),
+    and as no point is a loop p lies on a circuit with x, so x + p is
+    connected and spanning too. Once i reaches GREEN_HYPERPLANE_BOUND no
+    extension below the node asks for j or survives, and the subtree, the
+    node included, is counted as scanned in closed form,
+    sum_{d=0}^{budget} C(spare - start, d), without being walked.
     """
+    if i >= GREEN_HYPERPLANE_BOUND:
+        found[0] += _subtree_size(spare - start, budget)
+        return
     found[0] += 1
-    if i < GREEN_HYPERPLANE_BOUND:
-        found[1] += 1
-        j = _red_count(red_tables, idx)
-        if i + j < TOTAL_HYPERPLANE_BOUND:
-            found[2].append((smask, i, j))
+    found[1] += 1
+    j = _red_count(red_tables, idx)
+    if i + j < TOTAL_HYPERPLANE_BOUND:
+        found[2].append((smask, i, j))
     if budget:
         for k in range(start, spare):
             child = idx.copy()
@@ -306,6 +324,9 @@ def _scan_block(spare: int, tables, max_extra: int, prefix_bits: int,
     The block is the branch of the depth-first search fixed by pattern: it
     starts from the seed plus pattern's points and adds points from
     prefix_bits on. A pattern of more than max_extra points scans nothing.
+    Inside the block, as in the whole search, a node whose green count has
+    reached the bound is counted with its subtree in closed form and not
+    walked, since the green count never falls as points are added.
     Runs in the caller or in a pool worker alike, on the tables it is given.
     """
     green_tables, red_tables, contributions = tables
@@ -340,10 +361,16 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     once, here, to depth max_extra, each entry read in its hyperplane's own
     PG(3,2); they give the seed record too. The extensions are then walked by
     a depth-first search that adds spare points in increasing order and
-    updates i point by point. Its first branches, fixed by a pattern on the
-    first few spare points, are the blocks that run in this process or in
-    pool workers, at most one per core whatever jobs asks for; their results
-    merge in pattern order, then sort.
+    updates i point by point. Each green table is monotone: a connected
+    spanning trace stays so when a point of its hyperplane joins it, as that
+    point lies in its closure and is no loop. So i never falls along a
+    branch, and a node with i >= 26 stands for its whole subtree: the search
+    adds sum_{d=0}^{b} C(s, d) to scanned, for s spare points after the
+    node's last and a budget of b more points, and does not walk it. The
+    search's first branches, fixed by a pattern on the first few spare
+    points, are the blocks that run in this process or in pool workers, at
+    most one per core whatever jobs asks for; their results merge in pattern
+    order, then sort.
     """
     m = seed.to_span()
     if m.q != 2 or m.space.r != 5:

@@ -2,16 +2,19 @@
 
 Everything here recomputes from first principles (coefficient enumeration
 over coordinate vectors, textbook definitions) without touching the library's
-own rank, closure, or connectivity machinery. There are two exceptions:
+own rank, closure, or connectivity machinery. There are three exceptions:
 `forbidden_name_by_key` names forbidden members by canonical keys, the
 mechanism the forbidden-flat orbit tables stand in for, and
 `minimal_by_proper_flats` runs the flat criterion on every proper flat
-restriction, the definition that the census's single flat scan stands in for.
+restriction, the definition that the census's single flat scan stands in for,
+and `scan_by_combinations` reads the hyperplane scan's own tables, so that it
+checks the pruned depth-first walk over them and not the tables.
 """
 
 import functools
 import itertools
 
+from comatroid import census
 from comatroid.canonical import canonical_key
 from comatroid.catalog import circuit, circuit_with_u24
 from comatroid.decide import decide_flat_criterion, forbidden_catalog
@@ -201,7 +204,8 @@ def forbidden_name_by_key(m):
 
     Candidates are the spanning circuit of m's size (from six points over
     GF(2), four over GF(3)), over GF(3) the circuit-with-U(2,4) member of
-    m's rank and size, and every fixed catalog entry, tried in that order.
+    m's rank and size when there is one (it needs d <= k), and every fixed
+    catalog entry, tried in that order.
     """
     m = m.to_span()
     q, r, size = m.q, m.rank, m.n
@@ -210,7 +214,7 @@ def forbidden_name_by_key(m):
         if key == canonical_key(embed(circuit(size, q))):
             return f"circuit of size {size}"
     k, d = 2 * (r + 1) - size, size - r - 1
-    if q == 3 and k >= 3 and d >= 1:
+    if q == 3 and k >= 3 and 1 <= d <= k:
         if key == canonical_key(embed(circuit_with_u24(k, range(d)))):
             return f"circuit with U(2,4) family (k={k}, d={d})"
     for name, _, _, entry_key in forbidden_catalog(q):
@@ -230,6 +234,42 @@ def minimal_by_proper_flats(space, green):
     proper = {f & green for k in range(space.r) for f in space.flats_of_rank(k)}
     proper.discard(green)
     return not is_comatroid(green) and all(is_comatroid(x) for x in proper)
+
+
+def scan_by_combinations(seed, max_extra):
+    """(scanned, j_computed, survivors) of hyperplane_scan, extension by extension.
+
+    Every set of at most max_extra spare points is taken from
+    itertools.combinations, its local index on each hyperplane is rebuilt
+    from scratch, and the green and red tables are summed in full; j is asked
+    for exactly when i is below the green bound. Both bounds are read at call
+    time. Survivors come out in hyperplane_scan's form and order: by size,
+    then by the mask whose bit k stands for the k-th spare point.
+    """
+    m = seed.to_span()
+    space, green0 = m.space, m.green_mask
+    ext = tuple(p for p in range(space.n) if not (green0 >> p) & 1)
+    green_tables, red_tables, contributions = census._scan_tables(
+        space, green0, ext, max_extra)
+    scanned = j_computed = 0
+    survivors = []
+    for size in range(max_extra + 1):
+        for combo in itertools.combinations(range(len(ext)), size):
+            idx = [0] * len(green_tables)
+            for k in combo:
+                for h, bit in contributions[k]:
+                    idx[h] |= bit
+            scanned += 1
+            i = sum(gt[x] for gt, x in zip(green_tables, idx))
+            if i >= census.GREEN_HYPERPLANE_BOUND:
+                continue
+            j_computed += 1
+            j = sum(rt[x] for rt, x in zip(red_tables, idx))
+            if i + j < census.TOTAL_HYPERPLANE_BOUND:
+                survivors.append((size, sum(1 << k for k in combo), combo, i, j))
+    survivors.sort()
+    return scanned, j_computed, tuple(
+        (tuple(ext[k] for k in combo), i, j) for _, _, combo, i, j in survivors)
 
 
 # SHA-256 of minimal_non_comatroids(r, q).to_tsv(), pinned so any change to the

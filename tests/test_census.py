@@ -24,9 +24,9 @@ from comatroid.decide import (
 )
 from comatroid.errors import ResourceLimitError
 from comatroid.matroid import EmbeddedMatroid, embed
-from comatroid.projective import iter_bits, point_space
+from comatroid.projective import iter_bits, point_space, popcount
 
-from oracles import CENSUS_TSV_SHA256, minimal_by_proper_flats
+from oracles import CENSUS_TSV_SHA256, minimal_by_proper_flats, scan_by_combinations
 
 
 def rebuild(space, cls):
@@ -198,11 +198,12 @@ def _binom(n, k):
 def test_scan_determinism_across_workers(monkeypatch):
     # with jobs=4 at max_extra <= 1 one prefix pattern holds more points than
     # an extension may add, and its block must scan nothing; four cores let
-    # jobs=4 make four blocks on any host
+    # jobs=4 make four blocks on any host. m2-1 at depth 6 reaches the green
+    # bound below the block roots, so each block skips subtrees.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for name in ("extra-1", "f77"):
+    for name, depths in (("extra-1", (0, 1, 3)), ("f77", (0, 1, 3)), ("m2-1", (6,))):
         seed = embed(named(name))
-        for max_extra in (0, 1, 3):
+        for max_extra in depths:
             one = hyperplane_scan(seed, max_extra, jobs=1)
             for jobs in (2, 4):
                 other = hyperplane_scan(seed, max_extra, jobs=jobs)
@@ -261,6 +262,47 @@ def test_scan_counts_match_direct_counts(monkeypatch):
             ext = EmbeddedMatroid(m.space, m.green_mask | m.space.mask_of(extra))
             assert i == len(ext.connected_hyperplanes()), (name, extra)
             assert j == len(ext.complement().connected_hyperplanes()), (name, extra)
+
+
+def test_green_tables_monotone():
+    """Adding a point never disconnects or unspans a green trace, the premise
+    that lets the scan skip every subtree whose green count reached the bound."""
+    for name in census.SCAN_SEEDS + ("f77", "K33"):
+        m = embed(named(name)).to_span()
+        ext = tuple(p for p in range(m.space.n) if not (m.green_mask >> p) & 1)
+        green_tables, _, _ = census._scan_tables(m.space, m.green_mask, ext, 10)
+        for h, gt in enumerate(green_tables):
+            bits = [1 << t for t in range((len(gt) - 1).bit_length())]
+            for sub, connected in enumerate(gt):
+                if connected and popcount(sub) < 10:
+                    for bit in bits:
+                        assert gt[sub | bit], (name, h, sub, bit)
+
+
+def test_pruned_scan_matches_combinations(monkeypatch):
+    """With the bounds raised, some extensions survive and some subtrees are
+    still skipped; scanned, j_computed and the survivors must match a walk
+    over every extension, and the search must be called fewer times than
+    there are extensions."""
+    monkeypatch.setattr(census, "GREEN_HYPERPLANE_BOUND", 29)
+    monkeypatch.setattr(census, "TOTAL_HYPERPLANE_BOUND", 44)
+    descend = census._descend
+    calls = [0]
+
+    def counting_descend(*args):
+        calls[0] += 1
+        return descend(*args)
+
+    monkeypatch.setattr(census, "_descend", counting_descend)
+    for name in ("m2-1", "extra-1"):
+        seed = embed(named(name))
+        scanned, j_computed, survivors = scan_by_combinations(seed, 6)
+        assert survivors and j_computed < scanned, name
+        calls[0] = 0
+        scan = hyperplane_scan(seed, 6)
+        assert (scan.scanned, scan.j_computed, scan.survivors) == (
+            scanned, j_computed, survivors), name
+        assert calls[0] < scan.scanned, name
 
 
 def test_scan_block_error_names_block(monkeypatch):

@@ -359,11 +359,13 @@ def test_deciders_and_replay_build_no_embedded_matroid(monkeypatch):
 
 def test_rank6_ternary_size_without_family_member():
     # 11 points of rank 6 read as the family signature k=3, d=4, but a
-    # 3-circuit has no 4 elements to carry U(2,4)s: no member has that size
+    # 3-circuit has no 4 elements to carry U(2,4)s: no member has that size,
+    # and neither the orbit index nor the key oracle may ask for one
     space = point_space(6, 3)
     x = space.mask_of((32, 60, 68, 107, 130, 194, 230, 241, 253, 291, 333))
     assert space.rank_of_mask(x) == 6
     assert _classify_flat(space, x, 6) is None
+    assert forbidden_name_by_key(EmbeddedMatroid(space, x)) is None
     assert set(decide._members(6, 3).values()) == {
         f"circuit with U(2,4) family (k={k}, d={d})" for k, d in ((6, 1), (5, 2), (4, 3))}
 
