@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .canonical import canonical_key, orbit_of
 from .catalog import (
@@ -317,40 +316,6 @@ def _descend(steps, red_tables, spare: int, start: int, budget: int,
                      smask | (1 << k), child, ci, found)
 
 
-def _scan_block(spare: int, tables, max_extra: int, prefix_bits: int,
-                pattern: int):
-    """Scan every extension whose trace on the first prefix_bits spare points is pattern.
-
-    The block is the branch of the depth-first search fixed by pattern: it
-    starts from the seed plus pattern's points and adds points from
-    prefix_bits on. A pattern of more than max_extra points scans nothing.
-    Inside the block, as in the whole search, a node whose green count has
-    reached the bound is counted with its subtree in closed form and not
-    walked, since the green count never falls as points are added.
-    Runs in the caller or in a pool worker alike, on the tables it is given.
-    """
-    green_tables, red_tables, contributions = tables
-    budget = max_extra - popcount(pattern)
-    if budget < 0:
-        return [], 0, 0
-    found = [0, 0, []]
-    try:
-        # each spare point's (hyperplane, local bit, green table) triples
-        steps = [tuple((h, bit, green_tables[h]) for h, bit in c)
-                 for c in contributions]
-        idx = [0] * len(green_tables)
-        for k in iter_bits(pattern):
-            for h, bit, _ in steps[k]:
-                idx[h] |= bit
-        i = sum(gt[x] for gt, x in zip(green_tables, idx))
-        _descend(steps, red_tables, spare, prefix_bits, budget, pattern, idx, i, found)
-    except Exception as exc:
-        raise RuntimeError(f"scan block with prefix pattern {pattern} "
-                           f"over {prefix_bits} spare points failed: {exc!r}") from exc
-    scanned, j_computed, survivors = found
-    return survivors, scanned, j_computed
-
-
 def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
                     jobs: int = 1) -> ExtensionScan:
     """Count connected hyperplanes of every bounded extension of a rank-5 seed.
@@ -360,17 +325,15 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     whenever i alone already disqualifies the extension. The tables are built
     once, here, to depth max_extra, each entry read in its hyperplane's own
     PG(3,2); they give the seed record too. The extensions are then walked by
-    a depth-first search that adds spare points in increasing order and
-    updates i point by point. Each green table is monotone: a connected
-    spanning trace stays so when a point of its hyperplane joins it, as that
-    point lies in its closure and is no loop. So i never falls along a
-    branch, and a node with i >= 26 stands for its whole subtree: the search
-    adds sum_{d=0}^{b} C(s, d) to scanned, for s spare points after the
-    node's last and a budget of b more points, and does not walk it. The
-    search's first branches, fixed by a pattern on the first few spare
-    points, are the blocks that run in this process or in pool workers, at
-    most one per core whatever jobs asks for; their results merge in pattern
-    order, then sort.
+    a depth-first search from the seed that adds spare points in increasing
+    order and updates i point by point. Each green table is monotone: a
+    connected spanning trace stays so when a point of its hyperplane joins
+    it, as that point lies in its closure and is no loop. So i never falls
+    along a branch, and a node with i >= 26 stands for its whole subtree: the
+    search adds sum_{d=0}^{b} C(s, d) to scanned, for s spare points after
+    the node's last and a budget of b more points, and does not walk it.
+    Survivors are sorted by size, then by mask.
+    jobs is unused; it is kept only because the benchmark still passes it.
     """
     m = seed.to_span()
     if m.q != 2 or m.space.r != 5:
@@ -380,31 +343,18 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     ext = tuple(p for p in range(space.n) if not (green0 >> p) & 1)
     if not 0 <= max_extra <= len(ext):
         raise ValueError(f"max_extra {max_extra} outside 0..{len(ext)} spare points")
-    tables = _scan_tables(space, green0, ext, max_extra)
-    seed_i = sum(gt[0] for gt in tables[0])
+    green_tables, red_tables, contributions = _scan_tables(space, green0, ext, max_extra)
+    seed_i = sum(gt[0] for gt in green_tables)
     seed_j = None
     if seed_i < GREEN_HYPERPLANE_BOUND:
-        seed_j = _red_count(tables[1], [0] * len(tables[1]))
-    # a pool starts all its workers at its first map, so more than one per
-    # core would only add processes
-    workers = min(jobs, os.cpu_count() or 1)
-    # the fewest prefix bits that give every worker a block
-    prefix_bits = min(max(workers - 1, 0).bit_length(), len(ext))
-    block = partial(_scan_block, len(ext), tables, max_extra, prefix_bits)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block, range(1 << prefix_bits)))
-    else:
-        results = list(map(block, range(1 << prefix_bits)))
-    survivors = []
-    scanned = 0
-    j_computed = 0
-    for block_survivors, block_scanned, block_j in results:
-        survivors.extend(block_survivors)
-        scanned += block_scanned
-        j_computed += block_j
+        seed_j = _red_count(red_tables, [0] * len(red_tables))
+    # each spare point's (hyperplane, local bit, green table) triples
+    steps = [tuple((h, bit, green_tables[h]) for h, bit in c)
+             for c in contributions]
+    found = [0, 0, []]
+    _descend(steps, red_tables, len(ext), 0, max_extra, 0,
+             [0] * len(green_tables), seed_i, found)
+    scanned, j_computed, survivors = found
     survivors.sort(key=lambda rec: (popcount(rec[0]), rec[0]))
     return ExtensionScan(
         m.elements, max_extra, seed_i, seed_j,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .catalog import catalog_names, named
@@ -42,10 +41,6 @@ _FILTERS = {
 }
 
 CATALOG_PREFIX = "catalog:"
-
-
-def _default_jobs() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 def _resolve(path: str) -> EmbeddedMatroid:
@@ -154,7 +149,7 @@ def _cmd_census_minimal(args, out) -> int:
 
 def _cmd_census_scan(args, out) -> int:
     seed = _resolve(args.input)
-    scan = hyperplane_scan(seed, max_extra=args.max_extra, jobs=args.jobs)
+    scan = hyperplane_scan(seed, max_extra=args.max_extra)
     print(f"# seed points: {','.join(str(i) for i in scan.seed_members)}", file=out)
     print(f"# seed record: i={scan.seed_i} j={scan.seed_j}", file=out)
     print(f"# scanned={scan.scanned} j_computed={scan.j_computed} "
@@ -182,7 +177,7 @@ def _cmd_verify(args, out) -> int:
             if name not in known:
                 raise ValueError(f"unknown criterion {name!r}; "
                                  f"known: {', '.join(sorted(known))}")
-    results = run_all(names=wanted, jobs=args.jobs,
+    results = run_all(names=wanted,
                       progress=lambda res: print(res.line(), file=out, flush=True))
     failed = [res.name for res in results if not res.passed]
     print(f"# {len(results) - len(failed)}/{len(results)} criteria passed", file=out)
@@ -282,7 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = csubs.add_parser("scan", help="hyperplane-count scan over seed extensions")
     c.add_argument("--max-extra", type=int, default=10)
-    c.add_argument("--jobs", type=int, default=_default_jobs())
     c.add_argument("input")
     c.set_defaults(func=_cmd_census_scan)
 
@@ -301,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run the acceptance manifest (PASS/FAIL per item)")
     p.add_argument("--only", default=None,
                    help="comma-separated criterion names to run")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("info", help="basic invariants of a matroid")

@@ -46,7 +46,7 @@ class CriterionResult:
 # ----------------------------------------------------------------- criteria
 
 
-def _c_decider_agreement(jobs: int):
+def _c_decider_agreement():
     parts = []
     ok = True
     for r, q in ((4, 2), (3, 3)):
@@ -67,7 +67,7 @@ def _c_decider_agreement(jobs: int):
     return ok, "; ".join(parts)
 
 
-def _c_circuit_law(jobs: int):
+def _c_circuit_law():
     rows = []
     ok = True
     for q, top in ((2, 8), (3, 7)):
@@ -93,7 +93,7 @@ def _complement_pairs(report):
             for p in pairs]
 
 
-def _c_binary_rank4_census(jobs: int):
+def _c_binary_rank4_census():
     report = minimal_non_comatroids(4, 2)
     pairs = _complement_pairs(report)
     graph_names = set(FIVE_VERTEX_GRAPHS)
@@ -111,7 +111,7 @@ def _c_binary_rank4_census(jobs: int):
     return ok, detail
 
 
-def _c_ternary_rank3_census(jobs: int):
+def _c_ternary_rank3_census():
     report = minimal_non_comatroids(3, 3)
     pairs = _complement_pairs(report)
     target_keys = {canonical_key(embed(named(name))): label
@@ -131,23 +131,23 @@ def _c_ternary_rank3_census(jobs: int):
     return ok, detail
 
 
-def _c_f77_hyperplanes(jobs: int):
+def _c_f77_hyperplanes():
     count = len(embed(named("f77")).connected_hyperplanes())
     return count == 27, f"f77 has {count} connected hyperplanes"
 
 
-def _c_hyperplane_counts(jobs: int):
+def _c_hyperplane_counts():
     k33 = len(embed(named("K33")).connected_hyperplanes())
     pg42 = len(embed(named("PG(4,2)")).hyperplane_masks())
     ok = k33 == 6 and pg42 == 31
     return ok, f"M(K3,3): {k33} connected hyperplanes; PG(4,2): {pg42} hyperplanes"
 
 
-def _c_extension_scans(jobs: int):
+def _c_extension_scans():
     parts = []
     ok = True
     for name in SCAN_SEEDS:
-        scan = hyperplane_scan(embed(named(name)), max_extra=10, jobs=jobs)
+        scan = hyperplane_scan(embed(named(name)), max_extra=10)
         spare = 31 - len(scan.seed_members)
         expected = sum(math.comb(spare, s) for s in range(11))
         ok &= scan.survivors == () and scan.scanned == expected
@@ -156,7 +156,7 @@ def _c_extension_scans(jobs: int):
     return ok, "; ".join(parts)
 
 
-def _c_hyperplane_spot_checks(jobs: int):
+def _c_hyperplane_spot_checks():
     cases = (
         ("Delta5", "ejklm"),
         ("T12/e", "fghij"),
@@ -201,7 +201,7 @@ def _is_exception_pair(space, green):
     return space.rank_of_mask(triangle) == 2
 
 
-def _c_connectivity_sum(jobs: int):
+def _c_connectivity_sum():
     parts = []
     ok = True
     for r, q in ((3, 2), (4, 2), (3, 3)):
@@ -226,7 +226,7 @@ def _is_circuit_mask(space, m, k):
     return all(space.rank_of_mask(m ^ (1 << e)) == k for e in iter_bits(m))
 
 
-def _c_connected_hyperplane_guarantees(jobs: int):
+def _c_connected_hyperplane_guarantees():
     parts = []
     ok = True
 
@@ -307,7 +307,7 @@ def _c_connected_hyperplane_guarantees(jobs: int):
     return ok, "; ".join(parts)
 
 
-def _c_comatroid_closure(jobs: int):
+def _c_comatroid_closure():
     parts = []
     ok = True
     for r, q in ((4, 2), (3, 3)):
@@ -349,7 +349,7 @@ def _c_comatroid_closure(jobs: int):
     return ok, "; ".join(parts)
 
 
-def _c_complement_well_defined(jobs: int):
+def _c_complement_well_defined():
     rng = random.Random(RNG_SEED)
     small = ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3))
     mismatches = 0
@@ -394,21 +394,21 @@ def criterion_names() -> tuple[str, ...]:
     return tuple(name for name, _ in _CRITERIA)
 
 
-def run_criterion(name: str, jobs: int = 1) -> CriterionResult:
-    """Run one acceptance check by name; jobs is the extension scans' worker count."""
+def run_criterion(name: str) -> CriterionResult:
+    """Run one acceptance check by name."""
     funcs = dict(_CRITERIA)
     if name not in funcs:
         raise ValueError(f"unknown criterion {name!r}; known: {criterion_names()}")
     start = time.perf_counter()
-    passed, detail = funcs[name](jobs)
+    passed, detail = funcs[name]()
     return CriterionResult(name, passed, detail, time.perf_counter() - start)
 
 
-def run_all(names=None, jobs: int = 1, progress=None) -> tuple[CriterionResult, ...]:
+def run_all(names=None, progress=None) -> tuple[CriterionResult, ...]:
     """Run the acceptance manifest; progress receives each result as it lands."""
     out = []
     for name in names if names is not None else criterion_names():
-        res = run_criterion(name, jobs)
+        res = run_criterion(name)
         if progress is not None:
             progress(res)
         out.append(res)

@@ -1,8 +1,6 @@
 """Tests for the minimal census, the hyperplane scan, and coloring enumeration."""
 
-import concurrent.futures
 import hashlib
-import os
 import random
 
 import pytest
@@ -195,47 +193,6 @@ def _binom(n, k):
     return math.comb(n, k)
 
 
-def test_scan_determinism_across_workers(monkeypatch):
-    # with jobs=4 at max_extra <= 1 one prefix pattern holds more points than
-    # an extension may add, and its block must scan nothing; four cores let
-    # jobs=4 make four blocks on any host. m2-1 at depth 6 reaches the green
-    # bound below the block roots, so each block skips subtrees.
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for name, depths in (("extra-1", (0, 1, 3)), ("f77", (0, 1, 3)), ("m2-1", (6,))):
-        seed = embed(named(name))
-        for max_extra in depths:
-            one = hyperplane_scan(seed, max_extra, jobs=1)
-            for jobs in (2, 4):
-                other = hyperplane_scan(seed, max_extra, jobs=jobs)
-                assert one == other, (name, max_extra, jobs)
-
-
-def test_scan_workers_capped_at_core_count(monkeypatch):
-    """A huge --jobs asks the pool for no more workers than there are cores.
-
-    The pool is replaced by one that runs the blocks in this process, so the
-    test starts no process.
-    """
-    class InProcessPool:
-        def __init__(self, max_workers):
-            if max_workers > os.cpu_count():
-                raise AssertionError(f"{max_workers} workers on {os.cpu_count()} cores")
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    seed = embed(named("m2-1"))
-    assert hyperplane_scan(seed, 1, jobs=10**6) == hyperplane_scan(seed, 1, jobs=1)
-
-
 # j_computed at max_extra=6, taken from the scan before the depth-first search
 SCAN_J_COMPUTED_DEPTH6 = {"m2-1": 2398, "m2-2": 3596, "extra-1": 3746, "extra-2": 2713}
 
@@ -280,10 +237,18 @@ def test_green_tables_monotone():
 
 
 def test_pruned_scan_matches_combinations(monkeypatch):
-    """With the bounds raised, some extensions survive and some subtrees are
-    still skipped; scanned, j_computed and the survivors must match a walk
-    over every extension, and the search must be called fewer times than
-    there are extensions."""
+    """scanned, j_computed and the survivors must match a walk over every
+    extension. At the default bounds f77's seed is already past the green
+    bound, so its whole scan is one closed-form count at the root. With the
+    bounds raised, some extensions survive and some subtrees are still
+    skipped, and the search must be called fewer times than there are
+    extensions."""
+    for name, depths in (("extra-1", (0, 1, 3)), ("f77", (0, 1, 3)), ("m2-1", (6,))):
+        seed = embed(named(name))
+        for max_extra in depths:
+            scan = hyperplane_scan(seed, max_extra)
+            assert (scan.scanned, scan.j_computed, scan.survivors) == (
+                scan_by_combinations(seed, max_extra)), (name, max_extra)
     monkeypatch.setattr(census, "GREEN_HYPERPLANE_BOUND", 29)
     monkeypatch.setattr(census, "TOTAL_HYPERPLANE_BOUND", 44)
     descend = census._descend
@@ -303,14 +268,6 @@ def test_pruned_scan_matches_combinations(monkeypatch):
         assert (scan.scanned, scan.j_computed, scan.survivors) == (
             scanned, j_computed, survivors), name
         assert calls[0] < scan.scanned, name
-
-
-def test_scan_block_error_names_block(monkeypatch):
-    # the seed record reads the tables directly; only a block runs the search
-    monkeypatch.setattr(census, "_descend", lambda *args: 1 // 0)
-    with pytest.raises(RuntimeError, match="prefix pattern 0") as info:
-        hyperplane_scan(embed(named("m2-1")), 1, jobs=1)
-    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_green_side_off_a_hyperplane_never_needs_j():

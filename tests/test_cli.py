@@ -125,13 +125,17 @@ def test_census_colorings_sampling_is_seeded(capsys):
 
 
 def test_census_scan_matches_library(capsys):
-    assert run("census", "scan", "--max-extra", "1", "--jobs", "1",
-               "catalog:extra-1") == 0
+    assert run("census", "scan", "--max-extra", "1", "catalog:extra-1") == 0
     out = capsys.readouterr().out
-    scan = hyperplane_scan(embed(named("extra-1")), max_extra=1, jobs=1)
+    scan = hyperplane_scan(embed(named("extra-1")), max_extra=1)
     assert f"i={scan.seed_i} j={scan.seed_j}" in out
     assert f"scanned={scan.scanned}" in out
     assert out.strip().splitlines()[-1] == "extra\ti\tj"
+
+
+def test_jobs_flag_is_gone():
+    assert run("census", "scan", "--jobs", "1", "--max-extra", "0", "catalog:m2-1") == 2
+    assert run("verify", "--jobs", "1", "--only", "circuit-law") == 2
 
 
 def test_verify_subset_passes(capsys):
