@@ -10,7 +10,6 @@ the coloring enumerator underpins the exhaustive property checks.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -213,60 +212,10 @@ class ExtensionScan:
         return "\n".join(lines) + "\n"
 
 
-def _scan_tables(space: PointSpace, green0: int, ext: tuple[int, ...],
-                 max_extra: int):
-    """Per-hyperplane lookup tables, built once per scan, to the scan's depth.
-
-    For hyperplane H the green side of seed + S meets H in a set determined
-    by S's trace on H, and the red side is the untouched part of that trace's
-    complement within H; both rank-4 connectivity verdicts are tabulated,
-    indexed by the local submask of that trace. A trace has no more points
-    than its extension, so only local submasks of at most max_extra points
-    are filled. Each entry is read in H's own PG(3,2): the seed trace and the
-    spare points are translated once per hyperplane by flat_embedding, and
-    the verdict is a rank-table read plus that space's components memo, which
-    all hyperplanes share. Alongside come, for each spare point, the
-    (hyperplane, local bit) pairs it sets.
-    """
-    green_tables, red_tables = [], []
-    contributions = [[] for _ in ext]
-    for h, hmask in enumerate(space.flats_of_rank(space.r - 1)):
-        hspace, mapping = space.flat_embedding(hmask)
-        local = tuple(k for k, p in enumerate(ext) if (hmask >> p) & 1)
-        bits = tuple(1 << mapping[ext[k]] for k in local)
-        gseed = space.translate_mask(green0 & hmask, mapping)
-        eh_full = sum(bits)
-        gt = bytearray(1 << len(local))
-        rt = bytearray(1 << len(local))
-        for size in range(min(max_extra, len(local)) + 1):
-            for combo in itertools.combinations(range(len(local)), size):
-                sub = sum(1 << t for t in combo)
-                picked = sum(bits[t] for t in combo)
-                x = gseed | picked
-                gt[sub] = (hspace.rank_of_mask(x) == hspace.r
-                           and hspace.is_connected_mask(x))
-                y = eh_full ^ picked
-                rt[sub] = (hspace.rank_of_mask(y) == hspace.r
-                           and hspace.is_connected_mask(y))
-        for t, k in enumerate(local):
-            contributions[k].append((h, 1 << t))
-        green_tables.append(gt)
-        red_tables.append(rt)
-    return green_tables, red_tables, contributions
-
-
-def _red_count(red_tables, idx: list[int]) -> int:
-    """Connected hyperplanes of the red side, read off the red tables.
-
-    The tables count hyperplanes of the whole space, which is right only when
-    the red side spans it, and it does whenever j is asked for. Were the red
-    side inside one hyperplane H, the green side would hold the 16 points off
-    H. Every other hyperplane H' meets those in an AG(3,2), which is connected
-    and spans H', so its green trace, that AG(3,2) plus points of its span, is
-    connected and spanning too. Then i >= 30 > GREEN_HYPERPLANE_BOUND, for the
-    seed record as for any extension, and j is never computed.
-    """
-    return sum(rt[x] for rt, x in zip(red_tables, idx))
+def _connected_spanning(hs: PointSpace, cs: bytearray, x: int) -> bool:
+    """Fill entry x of the scan table: 1 if x is connected and spans hs."""
+    got = cs[x] = hs.rank_of_mask(x) == hs.r and hs.is_connected_mask(x)
+    return got
 
 
 @lru_cache(maxsize=None)
@@ -276,16 +225,28 @@ def _subtree_size(points: int, budget: int) -> int:
     return sum(math.comb(points, d) for d in range(budget + 1))
 
 
-def _descend(steps, red_tables, spare: int, start: int, budget: int,
-             smask: int, idx: list[int], i: int, found: list) -> None:
+def _descend(steps, hs: PointSpace, cs: bytearray, spare: int, start: int,
+             budget: int, smask: int, idx: list[int], i: int, found: list) -> None:
     """Record extension smask, then those adding up to budget more spare points.
 
     Points are added in increasing order, numbered start or more. idx holds
-    smask's local index on each hyperplane and i its green count. A child ORs
-    its point's bit into the indices of that point's hyperplanes, on its own
-    copy of idx, and moves i by the change of each green entry, so returning
-    leaves the parent's state as it was. found collects
-    [scanned, j_computed, survivors].
+    smask's green trace on each hyperplane as a mask of hs, the PG(3,2) every
+    hyperplane re-embeds onto, and i its green count; cs is the scan table
+    over hs's masks, 2 marking an entry not yet filled, and every entry of idx
+    is filled. A child ORs its point's bit into the traces of that point's
+    hyperplanes, on its own copy of idx, filling each new trace's entry, and
+    moves i by the change of each entry, so returning leaves the parent's
+    state as it was. found collects [scanned, j_computed, survivors].
+
+    The red side's trace on a hyperplane is the rest of it, hs.full_mask ^ x
+    for green trace x, so j is read off the same table. It counts hyperplanes
+    of the whole space, which is right only when the red side spans it, and
+    it does whenever j is asked for. Were the red side inside one hyperplane
+    H, the green side would hold the 16 points off H. Every other hyperplane
+    H' meets those in an AG(3,2), which is connected and spans H', so its
+    green trace, that AG(3,2) plus points of its span, is connected and
+    spanning too. Then i >= 30 > GREEN_HYPERPLANE_BOUND, for the seed as for
+    any extension, and j is never computed.
 
     The green count never falls as points are added: if the green trace x of
     a hyperplane H is connected and spans H, any point p of H lies in cl(x),
@@ -300,19 +261,29 @@ def _descend(steps, red_tables, spare: int, start: int, budget: int,
         return
     found[0] += 1
     found[1] += 1
-    j = _red_count(red_tables, idx)
+    full = hs.full_mask
+    j = 0
+    for x in idx:
+        y = full ^ x
+        got = cs[y]
+        if got == 2:
+            got = _connected_spanning(hs, cs, y)
+        j += got
     if i + j < TOTAL_HYPERPLANE_BOUND:
         found[2].append((smask, i, j))
     if budget:
         for k in range(start, spare):
             child = idx.copy()
             ci = i
-            for h, bit, gt in steps[k]:
+            for h, bit in steps[k]:
                 x = child[h]
                 y = x | bit
-                ci += gt[y] - gt[x]
+                got = cs[y]
+                if got == 2:
+                    got = _connected_spanning(hs, cs, y)
+                ci += got - cs[x]
                 child[h] = y
-            _descend(steps, red_tables, spare, k + 1, budget - 1,
+            _descend(steps, hs, cs, spare, k + 1, budget - 1,
                      smask | (1 << k), child, ci, found)
 
 
@@ -322,11 +293,16 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
 
     An extension survives when its green hyperplane count i stays below 26
     and, with the complement's count j, i + j stays below 32; j is skipped
-    whenever i alone already disqualifies the extension. The tables are built
-    once, here, to depth max_extra, each entry read in its hyperplane's own
-    PG(3,2); they give the seed record too. The extensions are then walked by
-    a depth-first search from the seed that adds spare points in increasing
-    order and updates i point by point. Each green table is monotone: a
+    whenever i alone already disqualifies the extension. Every hyperplane
+    re-embeds by flat_embedding onto the one PG(3,2), where each side's trace
+    is a mask: the green trace of seed + S is the seed's trace plus S's, and
+    the red trace is the rest of the hyperplane. So both counts read one
+    table over PG(3,2)'s masks, a local of this call, whose entry says
+    whether a trace is connected and spans; entries are filled on first read.
+    The seed's trace and each spare point's bit are translated once per
+    hyperplane. The extensions are then walked by a depth-first search from
+    the seed that adds spare points in increasing order and updates i point
+    by point; the seed record is the search root's. The table is monotone: a
     connected spanning trace stays so when a point of its hyperplane joins
     it, as that point lies in its closure and is no loop. So i never falls
     along a branch, and a node with i >= 26 stands for its whole subtree: the
@@ -343,18 +319,26 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     ext = tuple(p for p in range(space.n) if not (green0 >> p) & 1)
     if not 0 <= max_extra <= len(ext):
         raise ValueError(f"max_extra {max_extra} outside 0..{len(ext)} spare points")
-    green_tables, red_tables, contributions = _scan_tables(space, green0, ext, max_extra)
-    seed_i = sum(gt[0] for gt in green_tables)
+    hs = point_space(space.r - 1, 2)
+    cs = bytearray(b"\x02") * (1 << hs.n)
+    # each spare point's (hyperplane, bit of hs) pairs
+    steps = [[] for _ in ext]
+    idx = []
+    for h, hmask in enumerate(space.flats_of_rank(space.r - 1)):
+        _, mapping = space.flat_embedding(hmask)
+        x = space.translate_mask(green0 & hmask, mapping)
+        _connected_spanning(hs, cs, x)
+        idx.append(x)
+        for k, p in enumerate(ext):
+            if (hmask >> p) & 1:
+                steps[k].append((h, 1 << mapping[p]))
+    seed_i = sum(cs[x] for x in idx)
+    found = [0, 0, []]
+    _descend(steps, hs, cs, len(ext), 0, max_extra, 0, idx, seed_i, found)
+    scanned, j_computed, survivors = found
     seed_j = None
     if seed_i < GREEN_HYPERPLANE_BOUND:
-        seed_j = _red_count(red_tables, [0] * len(red_tables))
-    # each spare point's (hyperplane, local bit, green table) triples
-    steps = [tuple((h, bit, green_tables[h]) for h, bit in c)
-             for c in contributions]
-    found = [0, 0, []]
-    _descend(steps, red_tables, len(ext), 0, max_extra, 0,
-             [0] * len(green_tables), seed_i, found)
-    scanned, j_computed, survivors = found
+        seed_j = sum(cs[hs.full_mask ^ x] for x in idx)
     survivors.sort(key=lambda rec: (popcount(rec[0]), rec[0]))
     return ExtensionScan(
         m.elements, max_extra, seed_i, seed_j,

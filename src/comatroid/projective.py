@@ -204,15 +204,16 @@ class PointSpace:
         got = self._components_memo.get(mask)
         if got is not None:
             return got
+        table = self._closure_table
         basis = 0
         span = 0
         left = mask
         while left:
             low = left & -left
             basis |= low
-            span = self._join(span, low.bit_length() - 1)
+            span = (table[basis] if table is not None
+                    else self._join(span, low.bit_length() - 1))
             left &= ~span
-        table = self._closure_table
         blocks: list[int] = []
         for b in iter_bits(basis):
             # a tabled space reads each co-span; elsewhere they are re-spanned,

@@ -7,8 +7,9 @@ own rank, closure, or connectivity machinery. There are three exceptions:
 mechanism the forbidden-flat orbit tables stand in for, and
 `minimal_by_proper_flats` runs the flat criterion on every proper flat
 restriction, the definition that the census's single flat scan stands in for,
-and `scan_by_combinations` reads the hyperplane scan's own tables, so that it
-checks the pruned depth-first walk over them and not the tables.
+and `scan_by_combinations` asks the library's rank and connectivity of each
+hyperplane trace in PG(3,2), so that it checks the scan's table and its pruned
+depth-first walk, not the geometry.
 """
 
 import functools
@@ -236,35 +237,69 @@ def minimal_by_proper_flats(space, green):
     return not is_comatroid(green) and all(is_comatroid(x) for x in proper)
 
 
+class _ConnectedSpanning(dict):
+    """Whether a mask of one space is connected and spans it, asked once per mask.
+
+    Every hyperplane of PG(4,2) maps onto the one PG(3,2), so one instance
+    serves all of a scan's traces.
+    """
+
+    def __init__(self, space):
+        super().__init__()
+        self.space = space
+
+    def __missing__(self, x):
+        got = self[x] = (self.space.rank_of_mask(x) == self.space.r
+                         and self.space.is_connected_mask(x))
+        return got
+
+
 def scan_by_combinations(seed, max_extra):
     """(scanned, j_computed, survivors) of hyperplane_scan, extension by extension.
 
     Every set of at most max_extra spare points is taken from
-    itertools.combinations, its local index on each hyperplane is rebuilt
-    from scratch, and the green and red tables are summed in full; j is asked
-    for exactly when i is below the green bound. Both bounds are read at call
-    time. Survivors come out in hyperplane_scan's form and order: by size,
-    then by the mask whose bit k stands for the k-th spare point.
+    itertools.combinations, and its green and red traces on each hyperplane
+    are rebuilt from scratch in the PG(3,2) that flat_embedding maps the
+    hyperplane onto: the seed's traces with the set's points added to the
+    green side and taken off the red side. Whether a trace is connected and
+    spans is asked of that PG(3,2) once per distinct trace. The red traces
+    are built, and j counted, exactly when i is below the green bound. Both
+    bounds are read at call time. Survivors come out in hyperplane_scan's
+    form and order: by size, then by the mask whose bit k stands for the
+    k-th spare point.
     """
     m = seed.to_span()
     space, green0 = m.space, m.green_mask
     ext = tuple(p for p in range(space.n) if not (green0 >> p) & 1)
-    green_tables, red_tables, contributions = census._scan_tables(
-        space, green0, ext, max_extra)
+    green_seed, red_seed = [], []
+    # each spare point's (hyperplane, bit) pairs
+    contributions = [[] for _ in ext]
+    for h, hmask in enumerate(space.flats_of_rank(space.r - 1)):
+        hspace, mapping = space.flat_embedding(hmask)
+        green_seed.append(sum(1 << mapping[p] for p in mapping if green0 >> p & 1))
+        red_seed.append(sum(1 << mapping[p] for p in mapping if not green0 >> p & 1))
+        for k, p in enumerate(ext):
+            if p in mapping:
+                contributions[k].append((h, 1 << mapping[p]))
+    verdicts = _ConnectedSpanning(hspace)
     scanned = j_computed = 0
     survivors = []
     for size in range(max_extra + 1):
         for combo in itertools.combinations(range(len(ext)), size):
-            idx = [0] * len(green_tables)
+            green = green_seed.copy()
             for k in combo:
                 for h, bit in contributions[k]:
-                    idx[h] |= bit
+                    green[h] |= bit
             scanned += 1
-            i = sum(gt[x] for gt, x in zip(green_tables, idx))
+            i = sum(map(verdicts.__getitem__, green))
             if i >= census.GREEN_HYPERPLANE_BOUND:
                 continue
             j_computed += 1
-            j = sum(rt[x] for rt, x in zip(red_tables, idx))
+            red = red_seed.copy()
+            for k in combo:
+                for h, bit in contributions[k]:
+                    red[h] &= ~bit
+            j = sum(map(verdicts.__getitem__, red))
             if i + j < census.TOTAL_HYPERPLANE_BOUND:
                 survivors.append((size, sum(1 << k for k in combo), combo, i, j))
     survivors.sort()

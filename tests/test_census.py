@@ -22,7 +22,7 @@ from comatroid.decide import (
 )
 from comatroid.errors import ResourceLimitError
 from comatroid.matroid import EmbeddedMatroid, embed
-from comatroid.projective import iter_bits, point_space, popcount
+from comatroid.projective import iter_bits, point_space
 
 from oracles import CENSUS_TSV_SHA256, minimal_by_proper_flats, scan_by_combinations
 
@@ -221,19 +221,19 @@ def test_scan_counts_match_direct_counts(monkeypatch):
             assert j == len(ext.complement().connected_hyperplanes()), (name, extra)
 
 
-def test_green_tables_monotone():
-    """Adding a point never disconnects or unspans a green trace, the premise
-    that lets the scan skip every subtree whose green count reached the bound."""
-    for name in census.SCAN_SEEDS + ("f77", "K33"):
-        m = embed(named(name)).to_span()
-        ext = tuple(p for p in range(m.space.n) if not (m.green_mask >> p) & 1)
-        green_tables, _, _ = census._scan_tables(m.space, m.green_mask, ext, 10)
-        for h, gt in enumerate(green_tables):
-            bits = [1 << t for t in range((len(gt) - 1).bit_length())]
-            for sub, connected in enumerate(gt):
-                if connected and popcount(sub) < 10:
-                    for bit in bits:
-                        assert gt[sub | bit], (name, h, sub, bit)
+def test_connected_spanning_is_monotone():
+    """Adding a point never disconnects or unspans a connected spanning set,
+    the premise that lets the scan skip every subtree whose green count
+    reached the bound. Checked on every mask of PG(3,2), the space each
+    hyperplane trace of the scan lives in, and of PG(2,3)."""
+    for r, q in ((4, 2), (3, 3)):
+        space = point_space(r, q)
+        good = bytearray(space.rank_of_mask(x) == r and space.is_connected_mask(x)
+                         for x in range(1 << space.n))
+        for x in range(1 << space.n):
+            if good[x]:
+                for p in range(space.n):
+                    assert good[x | (1 << p)], (space, x, p)
 
 
 def test_pruned_scan_matches_combinations(monkeypatch):
