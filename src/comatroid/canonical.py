@@ -27,7 +27,7 @@ from functools import lru_cache
 from .errors import ResourceLimitError
 from .linalg import mat_apply, normalize, vec_add, vec_scale
 from .matroid import EmbeddedMatroid
-from .projective import TABLE_POINT_CAP, PointSpace, iter_bits, point_space
+from .projective import PointSpace, iter_bits, point_space
 
 MAX_CANONICAL_RANK = 6
 
@@ -143,6 +143,18 @@ def canonical_key(M: EmbeddedMatroid) -> tuple:
     return result
 
 
+def least_image(masks) -> int:
+    """The first of some masks in canonical_key's order (see _mask_less): the
+    key of a spanning green set is (q, r, least_image(its orbit))."""
+    masks = iter(masks)
+    best = next(masks)
+    for mask in masks:
+        d = mask ^ best
+        if mask & d & -d:
+            best = mask
+    return best
+
+
 def _mask_less(a: int, b: int) -> bool:
     """True iff a precedes b: the lowest differing bit belongs to a."""
     d = a ^ b
@@ -159,49 +171,56 @@ def point_permutation(space: PointSpace, mat) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _generator_images(r: int, q: int) -> tuple[tuple[list[int], list[int]], ...]:
-    """Per generator of the linear group, the images of a mask's low and high byte.
+def _generator_images(r: int, q: int) -> tuple[tuple[list[int], ...], ...]:
+    """Per generator of the linear group, the images of each byte of a mask.
 
-    The generators are the cyclic coordinate shift, the swap of the first two
-    coordinates, the transvection v0 += v1 and, over GF(3), the scaling of v0.
-    A mask's image is then low[mask & 255] | high[mask >> 8].
+    The generators, the cyclic coordinate shift, the transvection v0 += v1
+    and over GF(3) the scaling of v0, generate GL(r, q): the shift conjugates
+    the transvection to every v_i += v_(i+1), whose commutators give every
+    v_i += v_j. Table k maps the masks of points 8k to 8k + 7, and a mask's
+    image is the union of table k at its byte k; two tables up to 16 points.
     """
     space = point_space(r, q)
-    if space.n > TABLE_POINT_CAP:
-        raise ResourceLimitError(
-            f"orbit walks capped at {TABLE_POINT_CAP} points, space has {space.n}")
     maps = [
         lambda v: v[1:] + v[:1],
-        lambda v: (v[1], v[0]) + v[2:],
         lambda v: ((v[0] + v[1]) % q,) + v[1:],
     ]
     if q > 2:
         maps.append(lambda v: ((2 * v[0]) % q,) + v[1:])
-    out = []
-    for f in maps:
-        perm = [space.index[normalize(f(v), q)] for v in space.points]
-        low = [space.translate_mask(b, perm) for b in range(1 << min(space.n, 8))]
-        high = [space.translate_mask(b << 8, perm) for b in range(1 << max(space.n - 8, 0))]
-        out.append((low, high))
-    return tuple(out)
+    chunks = [(s, 1 << min(max(space.n - s, 0), 8)) for s in range(0, max(space.n, 16), 8)]
+    perms = [[space.index[normalize(f(v), q)] for v in space.points] for f in maps]
+    return tuple(tuple([space.translate_mask(b << s, perm) for b in range(size)]
+                       for s, size in chunks) for perm in perms)
 
 
-def orbit_of(space: PointSpace, green: int, seen: bytearray, mark: int = 1) -> list[int]:
+def orbit_of(space: PointSpace, green: int, seen, mark: int = 1) -> list[int]:
     """The masks of green's projective-equivalence orbit, each marked in seen.
 
-    seen has one byte per mask of the space and doubles as the walk's visited
-    set: every mask reached is set to mark, and a mask already marked is not
-    walked. Orbits are disjoint, so a green whose orbit was walked before
-    gives the empty list.
+    seen maps masks to marks, 0 for none: a bytearray over the space's masks
+    or a dict whose missing keys read 0, such as a Counter. Every mask reached
+    is set to mark and a marked one is not walked, so a walked orbit gives [].
     """
     if seen[green]:
         return []
     gens = _generator_images(space.r, space.q)
     seen[green] = mark
     orbit = [green]
+    if space.n <= 16:
+        # two tables read without a loop: tabled walks rebuild forbidden tables
+        for mask in orbit:
+            for low, high in gens:
+                image = low[mask & 255] | high[mask >> 8]
+                if not seen[image]:
+                    seen[image] = mark
+                    orbit.append(image)
+        return orbit
     for mask in orbit:
-        for low, high in gens:
-            image = low[mask & 255] | high[mask >> 8]
+        for tables in gens:
+            image = 0
+            rest = mask
+            for table in tables:
+                image |= table[rest & 255]
+                rest >>= 8
             if not seen[image]:
                 seen[image] = mark
                 orbit.append(image)

@@ -1,9 +1,9 @@
 """Exhaustive and targeted searches over green colorings of small geometries.
 
 The minimal census finds the non-comatroids whose restrictions to proper flats
-are all comatroids: it walks the coloring orbits of PG(2,2), PG(3,2) or
-PG(2,3) once each and scans the flats of each orbit's least mask once, for
-the full space as its only flat that violates the flat criterion.
+are all comatroids, in PG(2,2), PG(3,2), PG(4,2), PG(2,3) and PG(3,3), by one
+depth-first search over the colorings whose hyperplanes all pass the flat
+criterion.
 The hyperplane scan runs the extension algorithm over a rank-5 binary seed;
 the coloring enumerator underpins the exhaustive property checks.
 """
@@ -12,23 +12,21 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .canonical import canonical_key, orbit_of
+from .canonical import canonical_key, least_image, orbit_of
 from .catalog import (
     FIVE_VERTEX_GRAPHS,
     TERNARY_RANK3_MINIMAL,
-    circuit,
     circuit_with_u24,
     graph_cycle_matroid,
     named,
-    parallel_connection,
-    two_sum,
 )
-from .decide import _violating_flats
+from .decide import FLAT_VIOLATION_FLOOR
 from .errors import ResourceLimitError
-from .matroid import EmbeddedMatroid, MatrixPresentation, embed
+from .matroid import EmbeddedMatroid, embed
 from .projective import TABLE_POINT_CAP, PointSpace, iter_bits, point_space, popcount
 
 # Catalog seeds of the rank-5 binary hyperplane scan.
@@ -80,110 +78,143 @@ def format_key(key: tuple | None) -> str:
 
 # ------------------------------------------------------------ minimal census
 
-def _is_minimal_non_comatroid(space: PointSpace, green: int) -> bool:
-    """Not a comatroid, yet every restriction to a proper flat is one.
+def _color(steps, hs: PointSpace, cs: bytearray, n: int, k: int, green: int,
+           gt: list[int], rt: list[int], found: list) -> None:
+    """Color point k of steps, then each later one, green or red, depth first.
 
-    For green spanning space this holds iff the full space is green's only
-    violating flat, the only flat F at which r(F ∩ G) = r(F − G) with both
-    sides connected. Such an F is spanned by its green part: the points of F
-    off a proper subspace of F span F, so if either side had rank below r(F)
-    the other would have rank r(F). A restriction to a proper flat is a
-    comatroid iff no violating flat lies in its span, since the condition at
-    a flat reads only that flat's coloring. So a violating F below the full
-    space makes the restriction to F, which spans F, fail at its own top flat;
-    and if the full space is the only violating flat, green fails and no
-    proper restriction does. No flat below FLAT_VIOLATION_FLOOR violates, so
-    _violating_flats, which starts there, yields every violating flat.
+    steps[k] holds the point's bit and its (hyperplane, bit of hs) pairs, hs
+    being the PG(r-2, q) every hyperplane re-embeds onto; gt and rt hold the
+    green and red traces on each hyperplane as masks of hs, and cs is the
+    _connected_spanning table over them, 2 meaning not yet filled. A child
+    updates a copy of one side's traces and is cut once a hyperplane of its
+    point has both traces connected and spanning, which they stay as points
+    join (see _descend). found collects [nodes, leaves]: a leaf is a full
+    coloring each side of which has two or more of the n points off every
+    hyperplane, or it would not span or would have a coloop.
     """
-    flats = _violating_flats(space, green)
-    return next(flats, None) == space.full_mask and next(flats, None) is None
-
-
-def _exhaustive_minimal(r: int, q: int) -> tuple[list[int], int]:
-    """Orbit-least masks of full-rank minimal non-comatroids, and colorings scanned.
-
-    Rank and minimality do not change under a linear map, so each orbit is
-    decided once, at its least mask: masks are met in increasing order, and
-    orbit_of walks an orbit there and gives nothing for its other masks.
-    """
-    space = point_space(r, q)
-    seen = bytearray(1 << space.n)
-    out = [green for green in range(1 << space.n)
-           if orbit_of(space, green, seen)
-           and space.rank_of_mask(green) == r
-           and _is_minimal_non_comatroid(space, green)]
-    return out, 1 << space.n
-
-
-def _dedup_classes(space: PointSpace, masks, labeler) -> tuple[CensusClass, ...]:
-    # Classes are grouped by walking generator orbits, and canonical_key runs
-    # once per class, on the least hit of its orbit, not once per hit: a
-    # coloring filter can pass every mask of an orbit, and a cold canonical
-    # key costs milliseconds.
-    seen = bytearray(1 << space.n)
-    classes = []
-    for green in sorted(masks):
-        if not orbit_of(space, green, seen):
-            continue
-        key = canonical_key(EmbeddedMatroid(space, green))
+    found[0] += 1
+    if k == len(steps):
         size = popcount(green)
-        rank = space.rank_of_mask(green)
-        classes.append(CensusClass(
-            key, tuple(iter_bits(green)), size, rank, labeler(key, green)))
-    classes.sort(key=lambda c: (c.size, c.key))
-    return tuple(classes)
+        if (max(map(int.bit_count, gt)) <= size - 2
+                and max(map(int.bit_count, rt)) <= n - size - 2):
+            found[1].append(green)
+        return
+    bit_k, pairs = steps[k]
+    for to_green in (True, False):
+        mine, other = (gt, rt) if to_green else (rt, gt)
+        child = mine.copy()
+        for h, bit in pairs:
+            y = child[h] | bit
+            child[h] = y
+            if cs[y] == 2:
+                _connected_spanning(hs, cs, y)
+            if cs[y]:
+                z = other[h]
+                if cs[z] == 2:
+                    _connected_spanning(hs, cs, z)
+                if cs[z]:
+                    break
+        else:
+            if to_green:
+                _color(steps, hs, cs, n, k + 1, green | bit_k, child, rt, found)
+            else:
+                _color(steps, hs, cs, n, k + 1, green, gt, child, found)
 
 
-def _class_names(labelled) -> dict[tuple, str]:
-    """Labels by class key for (label, matroid) pairs, each complement included.
+def _search_minimal(space: PointSpace) -> tuple[list[int], int]:
+    """The leaves and the node count of a search over the colorings of space.
 
-    A complement takes the label "complement of <label>" unless its class
-    carries a label of its own.
+    H0, the first hyperplane, is colored first, by the least mask of each
+    complement pair of orbits of its own space's masks: its stabiliser
+    induces all of GL on it, and minimality is closed under complements. A
+    start whose two traces on H0 are connected and spanning is dropped; the
+    traces on any other hyperplane lie in a flat of rank r - 2 and cannot
+    span it. _color then colors the other points.
     """
-    out = {}
-    for label, m in labelled:
-        out[canonical_key(m)] = label
-        out.setdefault(canonical_key(m.complement()), f"complement of {label}")
-    return out
+    hyperplanes = space.flats_of_rank(space.r - 1)
+    hs = point_space(space.r - 1, space.q)
+    cs = bytearray(b"\x02") * (1 << hs.n)
+    maps = [space.flat_embedding(h)[1] for h in hyperplanes]
+    h0 = hyperplanes[0]
+    points_of_h0 = {i: p for p, i in maps[0].items()}
+    steps = [(1 << p, [(h, 1 << m[p]) for h, m in enumerate(maps) if p in m])
+             for p in range(space.n) if not (h0 >> p) & 1]
+    seen = bytearray(1 << hs.n)
+    found = [0, []]
+    for x in range(1 << hs.n):
+        if not orbit_of(hs, x, seen):
+            continue
+        orbit_of(hs, hs.full_mask ^ x, seen)
+        if (_connected_spanning(hs, cs, x)
+                and _connected_spanning(hs, cs, hs.full_mask ^ x)):
+            continue
+        green = space.translate_mask(x, points_of_h0)
+        gt, rt = ([space.translate_mask(side & h, m) for h, m in zip(hyperplanes, maps)]
+                  for side in (green, h0 ^ green))
+        _color(steps, hs, cs, space.n, 0, green, gt, rt, found)
+    return found[1], found[0]
+
+
+def _class_names(r: int, q: int) -> dict[tuple, str]:
+    """Labels by class key of the named minimal non-comatroids of rank r over GF(q)."""
+    if q == 2:
+        labelled = [(name, graph_cycle_matroid(edges, 2))
+                    for name, edges in FIVE_VERTEX_GRAPHS.items()]
+        labelled += [(name, named(name)) for name in ("C(6,2)", "P(U34,U34)")]
+    else:
+        labelled = [(label, named(name)) for label, name in TERNARY_RANK3_MINIMAL.items()]
+        labelled += [(f"circuit with U(2,4) family (k={k}, d={d})", circuit_with_u24(k, range(d)))
+                     for k, d in ((5, 0), (4, 1), (3, 2))]
+    matroids = [(label, embed(pres)) for label, pres in labelled]
+    return {canonical_key(m): label for label, m in matroids if m.rank == r}
 
 
 def minimal_non_comatroids(r: int, q: int) -> CensusReport:
-    """Classify minimal non-comatroids of rank r over GF(q), up to equivalence."""
+    """Classify minimal non-comatroids of rank r over GF(q), up to equivalence.
+
+    A green set G spanning the space, with complement R, is minimal iff the
+    full space is its only violating flat F, one where r(F ∩ G) = r(F − G)
+    with both sides connected. Both sides span such an F, as the points of F off a
+    proper subspace span F. The condition at a flat reads only its coloring,
+    so a violating F below the full space makes the restriction to F fail at
+    its top flat, and if there is none, no proper restriction fails. No flat
+    below FLAT_VIOLATION_FLOOR violates, and for the (r, q) served every flat
+    of rank r - 2 lies below it. So G is minimal iff G and R both span and are
+    connected, and no hyperplane H has G ∩ H and R ∩ H both connected and
+    spanning H.
+
+    _search_minimal gives the colorings that meet the second condition, up
+    to equivalence and complements; each new one that meets the first has
+    its orbit walked, whose least mask represents its class, and the
+    complement of whose greatest represents the complement class. scanned
+    counts the search's nodes.
+    """
+    if q not in FLAT_VIOLATION_FLOOR or not 3 <= r <= FLAT_VIOLATION_FLOOR[q] + 1:
+        raise ValueError("census supports (r, q) in (3, 2), (4, 2), (5, 2), (3, 3), "
+                         f"(4, 3); got ({r}, {q})")
     t0 = time.perf_counter()
-    if (q, r) in ((2, 3), (2, 4), (3, 3)):
-        if q == 2:
-            labelled = ((name, embed(graph_cycle_matroid(edges, 2)))
-                        for name, edges in FIVE_VERTEX_GRAPHS.items())
-        else:
-            labelled = ((label, embed(named(name)))
-                        for label, name in TERNARY_RANK3_MINIMAL.items())
-        names = _class_names(labelled)
-        masks, scanned = _exhaustive_minimal(r, q)
-        classes = _dedup_classes(point_space(r, q), masks,
-                                 lambda key, green: names.get(key, ""))
-        return CensusReport(q, r, "minimal non-comatroids, exhaustive",
-                            classes, scanned, time.perf_counter() - t0)
-    if (q, r) == (3, 4):
-        return _restricted_ternary_rank4(t0)
-    raise ValueError(f"census supports (q,r) in (2,3), (2,4), (3,3), (3,4); got ({q},{r})")
-
-
-def _restricted_ternary_rank4(t0: float) -> CensusReport:
-    """Rank-4 ternary scan over the circuit-with-U(2,4) family members only."""
-    classes = []
-    scanned = 0
-    for k, d in ((5, 0), (4, 1), (3, 2)):
-        m = embed(circuit_with_u24(k, range(d))).to_span()
-        scanned += 1
-        if not _is_minimal_non_comatroid(m.space, m.green_mask):
+    space = point_space(r, q)
+    leaves, nodes = _search_minimal(space)
+    full = space.full_mask
+    names = _class_names(r, q)
+    seen = bytearray(1 << space.n) if space.n <= TABLE_POINT_CAP else Counter()
+    classes = set()
+    for green in leaves:
+        if seen[green] or seen[full ^ green]:
             continue
-        key = canonical_key(m)
-        label = f"circuit with U(2,4) family (k={k}, d={d})"
-        classes.append(CensusClass(
-            key, tuple(iter_bits(m.green_mask)), m.n, m.rank, label))
-    classes.sort(key=lambda c: (c.size, c.key))
-    return CensusReport(3, 4, "minimal non-comatroids, family-restricted",
-                        tuple(classes), scanned, time.perf_counter() - t0)
+        if not all(space.is_connected_mask(x) and space.rank_of_mask(x) == r
+                   for x in (green, full ^ green)):
+            continue
+        orbit = orbit_of(space, green, seen)
+        pair = (((q, r, least_image(orbit)), min(orbit)),
+                ((q, r, least_image(full ^ m for m in orbit)), full ^ max(orbit)))
+        for (key, rep), (mate, _) in (pair, pair[::-1]):
+            label = names.get(key) or (
+                f"complement of {names[mate]}" if mate in names else "")
+            classes.add(CensusClass(key, tuple(iter_bits(rep)), popcount(rep), r, label))
+    classes = sorted(classes, key=lambda c: (c.size, c.key))
+    return CensusReport(q, r, "minimal non-comatroids, exhaustive",
+                        tuple(classes), nodes, time.perf_counter() - t0)
 
 
 # ------------------------------------------------------------ hyperplane scan
@@ -213,7 +244,7 @@ class ExtensionScan:
 
 
 def _connected_spanning(hs: PointSpace, cs: bytearray, x: int) -> bool:
-    """Fill entry x of the scan table: 1 if x is connected and spans hs."""
+    """Fill entry x of a table over hs's masks: 1 if x is connected and spans hs."""
     got = cs[x] = hs.rank_of_mask(x) == hs.r and hs.is_connected_mask(x)
     return got
 
@@ -347,63 +378,6 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
         scanned, j_computed)
 
 
-# --------------------------------------------------- rank-5 binary cross-check
-
-def _connected_spanning_classes(r: int, q: int, max_size: int):
-    """Orbit representatives of connected spanning colorings, one per class."""
-    space = point_space(r, q)
-    seen = bytearray(1 << space.n)
-    reps = []
-    for green in range(1, 1 << space.n):
-        if seen[green] or popcount(green) > max_size:
-            continue
-        if space.rank_of_mask(green) != r or not space.is_connected_mask(green):
-            continue
-        orbit_of(space, green, seen)
-        reps.append(green)
-    return space, reps
-
-
-# Largest part glued to a circuit in the rank-5 gluing search.
-RANK5_MAX_PART_SIZE = 9
-
-
-def rank5_binary_minimal_classes() -> tuple[CensusClass, ...]:
-    """Minimal rank-5 non-comatroids among gluings of a circuit to a small part.
-
-    A rank-5 minimal non-comatroid with a series pair splits as a two-sum or
-    parallel connection of a circuit with a smaller connected matroid, so the
-    candidate space runs over circuits glued to every connected spanning class
-    of the complementary rank.
-    """
-    found: dict[tuple, int] = {}
-    big = point_space(5, 2)
-    for k in (3, 4, 5):
-        part_rank = 7 - k
-        space, reps = _connected_spanning_classes(part_rank, 2, RANK5_MAX_PART_SIZE)
-        ck = circuit(k, 2)
-        for green in reps:
-            members = tuple(iter_bits(green))
-            part = MatrixPresentation(
-                2, tuple(space.points[i] for i in members))
-            for b in range(len(members)):
-                for glue in (two_sum, parallel_connection):
-                    cand = embed(glue(part, b, ck, 0)).to_span()
-                    if cand.rank != 5 or not _is_minimal_non_comatroid(
-                            cand.space, cand.green_mask):
-                        continue
-                    key = canonical_key(cand)
-                    if key not in found:
-                        found[key] = cand.green_mask
-    classes = []
-    for key, green in found.items():
-        classes.append(CensusClass(
-            key, tuple(iter_bits(green)), popcount(green),
-            big.rank_of_mask(green), ""))
-    classes.sort(key=lambda c: (c.size, c.key))
-    return tuple(classes)
-
-
 # -------------------------------------------------------- coloring enumerator
 
 def enumerate_colorings(space: PointSpace, filter, dedup: bool,
@@ -429,11 +403,15 @@ def enumerate_colorings(space: PointSpace, filter, dedup: bool,
     hits = [green for green in candidates
             if filter(EmbeddedMatroid(space, green))]
     if dedup:
-        classes = _dedup_classes(space, hits, lambda key, green: "")
-    else:
-        classes = tuple(
-            CensusClass(None, tuple(iter_bits(green)), popcount(green),
-                        space.rank_of_mask(green), "")
-            for green in hits)
-    return CensusReport(space.q, space.r, description, classes,
+        # one class per orbit, keyed once, at its least hit: a filter can pass
+        # every mask of an orbit, and a cold canonical key costs milliseconds
+        seen = bytearray(1 << space.n)
+        hits = [green for green in hits if orbit_of(space, green, seen)]
+    classes = [CensusClass(canonical_key(EmbeddedMatroid(space, green)) if dedup else None,
+                           tuple(iter_bits(green)), popcount(green),
+                           space.rank_of_mask(green), "")
+               for green in hits]
+    if dedup:
+        classes.sort(key=lambda c: (c.size, c.key))
+    return CensusReport(space.q, space.r, description, tuple(classes),
                         scanned, time.perf_counter() - t0)

@@ -21,7 +21,7 @@ from .linalg import Echelon, check_field, normalize, vec_add, vec_scale
 
 MAX_SPACE_RANK = 8
 # Largest space that carries closure and rank tables, and whose colorings
-# are enumerated, tabled or orbit-walked whole.
+# are enumerated or tabled whole.
 TABLE_POINT_CAP = 15
 
 

@@ -2,24 +2,27 @@
 
 Everything here recomputes from first principles (coefficient enumeration
 over coordinate vectors, textbook definitions) without touching the library's
-own rank, closure, or connectivity machinery. There are three exceptions:
+own rank, closure, or connectivity machinery. There are four exceptions:
 `forbidden_name_by_key` names forbidden members by canonical keys, the
-mechanism the forbidden-flat orbit tables stand in for, and
+mechanism the forbidden-flat orbit tables stand in for;
 `minimal_by_proper_flats` runs the flat criterion on every proper flat
-restriction, the definition that the census's single flat scan stands in for,
-and `scan_by_combinations` asks the library's rank and connectivity of each
-hyperplane trace in PG(3,2), so that it checks the scan's table and its pruned
-depth-first walk, not the geometry.
+restriction, the definition that the census's hyperplane search stands in
+for; `rank5_gluing_keys`, a search over gluings of a circuit to a small part,
+builds its candidates with the library and tests them with
+`minimal_by_proper_flats`; and `scan_by_combinations` asks the library's rank
+and connectivity of each hyperplane trace in PG(3,2), so that it checks the
+scan's table and its pruned depth-first walk, not the geometry.
 """
 
 import functools
 import itertools
 
 from comatroid import census
-from comatroid.canonical import canonical_key
-from comatroid.catalog import circuit, circuit_with_u24
+from comatroid.canonical import canonical_key, orbit_of
+from comatroid.catalog import circuit, circuit_with_u24, parallel_connection, two_sum
 from comatroid.decide import decide_flat_criterion, forbidden_catalog
-from comatroid.matroid import EmbeddedMatroid, embed
+from comatroid.matroid import EmbeddedMatroid, MatrixPresentation, embed
+from comatroid.projective import iter_bits, point_space, popcount
 
 
 def norm_point(v, q):
@@ -224,6 +227,37 @@ def forbidden_name_by_key(m):
     return None
 
 
+def rank5_gluing_keys(max_part_size=9):
+    """Canonical keys of the rank-5 binary minimal non-comatroids that glue a
+    circuit to a part of at most max_part_size points.
+
+    A rank-5 minimal non-comatroid with a series pair splits as a two-sum or
+    parallel connection of a circuit with a smaller connected matroid, so the
+    candidates run over the circuits of size k = 3, 4, 5 glued at each point
+    to one connected spanning set of each class of PG(5 - k, 2). Each
+    candidate of rank 5 is tested with minimal_by_proper_flats.
+    """
+    found = set()
+    for k in (3, 4, 5):
+        part_rank = 7 - k
+        space = point_space(part_rank, 2)
+        seen = bytearray(1 << space.n)
+        for green in range(1, 1 << space.n):
+            if (seen[green] or popcount(green) > max_part_size
+                    or space.rank_of_mask(green) != part_rank
+                    or not space.is_connected_mask(green)):
+                continue
+            orbit_of(space, green, seen)
+            members = tuple(iter_bits(green))
+            part = MatrixPresentation(2, tuple(space.points[i] for i in members))
+            for b in range(len(members)):
+                for glue in (two_sum, parallel_connection):
+                    cand = embed(glue(part, b, circuit(k, 2), 0)).to_span()
+                    if cand.rank == 5 and minimal_by_proper_flats(cand.space, cand.green_mask):
+                        found.add(canonical_key(cand))
+    return found
+
+
 def minimal_by_proper_flats(space, green):
     """Not a comatroid, yet every restriction to a proper flat is one.
 
@@ -312,7 +346,8 @@ def scan_by_combinations(seed, max_extra):
 CENSUS_TSV_SHA256 = {
     (4, 2): "266b8b825d74e41cd9ef187327c4712055c7d2644ef126b63a89929aba627afa",
     (3, 3): "5d9502d62e236bbf7ef67effbed07cd490c56907c3ba6d57f85d06905a4b6c85",
-    (4, 3): "4a4c075696fb1b2a14e68f8847667f3da3234b584b9840019e9c120a34eb4106",
+    (5, 2): "e633791a3452dc689df4c17b77c0de8bac237a3334d04c523c1e9174b4064558",
+    (4, 3): "5209412839a3fabca90846a43011708e95ddc07acbeac7e3dac59b9feb6d0bb2",
 }
 
 # SHA-256 of canonical keys over the seeded sample that

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from comatroid.canonical import (
     _key_memo,
     apply_linear_map,
     canonical_key,
+    least_image,
     orbit_of,
     point_permutation,
 )
@@ -130,6 +132,27 @@ def test_orbit_walk_partitions_like_keys_pg22():
     keys = [{canonical_key(EmbeddedMatroid(space, m)) for m in orbit} for orbit in orbits]
     assert all(len(k) == 1 for k in keys)
     assert len(set.union(*keys)) == len(orbits)
+
+
+def test_orbit_walk_and_least_image_on_every_census_space():
+    """The orbit of a frame, r unit vectors and their sum, walked by two byte
+    tables or, above 16 points, by more, holds its images under random
+    linear maps, and least_image of the orbit, or of its masks' complements,
+    is canonical_key's mask."""
+    rng = random.Random(5)
+    for r, q in ((3, 2), (4, 2), (5, 2), (3, 3), (4, 3)):
+        space = point_space(r, q)
+        frame = [tuple(int(i == j) for j in range(r)) for i in range(r)] + [(1,) * r]
+        m = EmbeddedMatroid(space, space.mask_of(space.index[v] for v in frame))
+        orbit = orbit_of(space, m.green_mask, Counter())
+        members = set(orbit)
+        assert len(members) == len(orbit)
+        for _ in range(5):
+            assert apply_linear_map(m, random_invertible(r, q, rng)).green_mask in members
+        assert least_image(orbit) == canonical_key(m)[2]
+        if space.n <= 16:
+            complements = (space.full_mask ^ x for x in orbit)
+            assert least_image(complements) == canonical_key(m.complement())[2]
 
 
 # (r, q, masks drawn) for the pinned key digest

@@ -2,18 +2,18 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from comatroid import census
 from comatroid.canonical import canonical_key, orbit_of
-from comatroid.catalog import circuit, named
+from comatroid.catalog import circuit, circuit_with_u24, named
 from comatroid.census import (
     enumerate_colorings,
     format_key,
     hyperplane_scan,
     minimal_non_comatroids,
-    rank5_binary_minimal_classes,
 )
 from comatroid.decide import (
     decide_flat_criterion,
@@ -24,16 +24,27 @@ from comatroid.errors import ResourceLimitError
 from comatroid.matroid import EmbeddedMatroid, embed
 from comatroid.projective import iter_bits, point_space
 
-from oracles import CENSUS_TSV_SHA256, minimal_by_proper_flats, scan_by_combinations
+from oracles import (
+    CENSUS_TSV_SHA256,
+    minimal_by_proper_flats,
+    rank5_gluing_keys,
+    scan_by_combinations,
+)
 
 
 def rebuild(space, cls):
     return EmbeddedMatroid(space, sum(1 << p for p in cls.members))
 
 
+@pytest.fixture(scope="module")
+def exhaustive():
+    """The censuses of PG(4,2) and PG(3,3), the two that take seconds."""
+    return {rq: minimal_non_comatroids(*rq) for rq in ((5, 2), (4, 3))}
+
+
 def test_binary_rank4_census_shape():
     rep = minimal_non_comatroids(4, 2)
-    assert rep.scanned == 1 << 15
+    assert rep.scanned == 2555
     assert len(rep.classes) == 12
     assert len({c.key for c in rep.classes}) == 12
     small = [c for c in rep.classes if c.size <= 7]
@@ -70,30 +81,43 @@ def test_binary_rank4_census_members_are_minimal():
             assert decide_flat_criterion(EmbeddedMatroid(space, x)).is_comatroid
 
 
-def test_minimality_from_one_flat_scan_matches_definition():
-    """The census's one-scan minimality agrees with deciding every proper flat
-    restriction, in spaces whose span sits above the flat criterion's floor."""
-    cases = []
-    for r, q, seed in ((5, 2, 71), (4, 3, 72)):
+def test_census_membership_matches_definition(exhaustive):
+    """A spanning set next to a small census class, one point swapped, and
+    its complement are minimal by deciding every proper flat restriction iff
+    the set's class is in the census."""
+    for (r, q), seed in (((5, 2), 71), ((4, 3), 72)):
         space = point_space(r, q)
+        classes = exhaustive[(r, q)].classes
+        keys = {c.key for c in classes}
         rng = random.Random(seed)
-        masks = [space.mask_of(rng.sample(range(space.n), rng.randint(r, space.n)))
-                 for _ in range(40)]
-        cases += [(space, g) for g in masks if space.rank_of_mask(g) == r]
-    pg42 = point_space(5, 2)
-    for name in ("C(6,2)", "P(U34,U34)"):
-        m = embed(named(name)).to_span()
-        assert m.space is pg42
-        cases += [(pg42, m.green_mask), (pg42, m.red_mask)]
-    assert len(cases) > 60
-    got = [census._is_minimal_non_comatroid(space, g) for space, g in cases]
-    assert got == [minimal_by_proper_flats(space, g) for space, g in cases]
-    assert got[-4:] == [True] * 4
+        found = Counter()
+        for c in classes:
+            if 2 * c.size > space.n:
+                continue
+            outside = [p for p in range(space.n) if p not in c.members]
+            for _ in range(15):
+                green = space.mask_of(c.members) ^ (1 << rng.choice(c.members))
+                green |= 1 << rng.choice(outside)
+                if space.rank_of_mask(green) != r:
+                    continue
+                inside = canonical_key(EmbeddedMatroid(space, green)) in keys
+                assert minimal_by_proper_flats(space, green) == inside
+                assert minimal_by_proper_flats(space, space.full_mask ^ green) == inside
+                found[inside] += 1
+        assert found[True] > 0 and found[False] > 10, (r, q, found)
+
+
+def test_exhaustive_census_members_are_minimal(exhaustive):
+    for (r, q), rep in exhaustive.items():
+        space = point_space(r, q)
+        for c in rep.classes:
+            assert c.rank == r
+            assert minimal_by_proper_flats(space, space.mask_of(c.members)), (r, q, c.size)
 
 
 def test_ternary_rank3_census():
     rep = minimal_non_comatroids(3, 3)
-    assert rep.scanned == 1 << 13
+    assert rep.scanned == 3069
     assert len(rep.classes) == 14
     named_half = [c for c in rep.classes if not c.label.startswith("complement")]
     assert sorted(c.label for c in named_half) == sorted(
@@ -121,35 +145,42 @@ def test_binary_rank3_census_empty():
     assert rep.classes == ()
 
 
-def test_ternary_rank4_restricted_census():
-    rep = minimal_non_comatroids(4, 3)
-    assert len(rep.classes) == 3
-    assert [c.size for c in rep.classes] == [5, 6, 7]
-    assert all("circuit with U(2,4)" in c.label for c in rep.classes)
+def test_ternary_rank4_census(exhaustive):
+    rep = exhaustive[(4, 3)]
+    assert rep.scanned == 824056
+    assert [c.size for c in rep.classes] == [5, 6, 7, 33, 34, 35]
+    family = {canonical_key(embed(circuit_with_u24(k, range(d)))): (k, d)
+              for k, d in ((5, 0), (4, 1), (3, 2))}
+    small, large = rep.classes[:3], rep.classes[3:]
+    assert {c.key for c in small} == set(family)
+    for c in small:
+        k, d = family[c.key]
+        assert c.label == f"circuit with U(2,4) family (k={k}, d={d})"
+    assert [c.label for c in large] == [f"complement of {c.label}" for c in reversed(small)]
 
 
 def test_unsupported_census_parameters():
-    with pytest.raises(ValueError):
-        minimal_non_comatroids(5, 2)
-    with pytest.raises(ValueError):
-        minimal_non_comatroids(3, 5)
+    for r, q in ((6, 2), (5, 3), (3, 5), (2, 2)):
+        with pytest.raises(ValueError, match=r"\(r, q\) in .*\(5, 2\)"):
+            minimal_non_comatroids(r, q)
 
 
-def test_census_determinism():
+def test_census_determinism(exhaustive):
     a = minimal_non_comatroids(3, 3)
     b = minimal_non_comatroids(3, 3)
     assert a.to_tsv() == b.to_tsv()
     assert a == b
     for (r, q), digest in CENSUS_TSV_SHA256.items():
-        tsv = minimal_non_comatroids(r, q).to_tsv()
+        rep = exhaustive[(r, q)] if (r, q) in exhaustive else minimal_non_comatroids(r, q)
+        tsv = rep.to_tsv()
         assert hashlib.sha256(tsv.encode()).hexdigest() == digest, (r, q)
 
 
-def test_tsv_shape():
-    rep = minimal_non_comatroids(4, 3)
+def test_tsv_shape(exhaustive):
+    rep = exhaustive[(4, 3)]
     lines = rep.to_tsv().strip().split("\n")
     assert lines[0] == "key\tsize\trank\tlabel\tmembers"
-    assert len(lines) == 4
+    assert len(lines) == 7
     for line in lines[1:]:
         key, size, rank, label, members = line.split("\t")
         assert key.startswith("3:4:")
@@ -295,12 +326,27 @@ def test_scan_rejects_bad_seed():
         hyperplane_scan(embed(named("m2-1")), -1)
 
 
-def test_rank5_cross_check():
-    classes = rank5_binary_minimal_classes()
-    assert len(classes) == 2
-    keys = {c.key for c in classes}
-    assert canonical_key(embed(circuit(6, 2))) in keys
-    assert canonical_key(embed(named("P(U34,U34)"))) in keys
+def test_rank5_cross_check(exhaustive):
+    rep = exhaustive[(5, 2)]
+    assert rep.scanned == 192438
+    assert [c.size for c in rep.classes] == [6, 7, 24, 25]
+    assert [c.label for c in rep.classes] == [
+        "C(6,2)", "P(U34,U34)", "complement of P(U34,U34)", "complement of C(6,2)"]
+    keys = {c.key for c in rep.classes}
+    glued = rank5_gluing_keys()
+    assert len(glued) == 2 and glued <= keys
+    named_sides = [embed(circuit(6, 2)), embed(named("P(U34,U34)"))]
+    assert {canonical_key(m) for m in named_sides} == glued
+    assert {canonical_key(m.complement()) for m in named_sides} == keys - glued
+
+
+def test_rank5_census_orbits_hold_every_minimal_coloring(exhaustive):
+    # twice the 152,768 minimal colorings with point 0 green that a search
+    # with no symmetry reduction found; a coloring or its complement has it
+    space = point_space(5, 2)
+    seen = Counter()
+    assert sum(len(orbit_of(space, space.mask_of(c.members), seen))
+               for c in exhaustive[(5, 2)].classes) == 305536
 
 
 def test_enumerate_no_rank3_binary_split():

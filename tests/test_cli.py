@@ -108,9 +108,17 @@ def test_rank_cap_is_resource_exit(capsys):
 def test_census_minimal_tsv(capsys):
     assert run("census", "minimal", "-r", "3", "-q", "3") == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("#") and "scanned=8192" in lines[0]
+    assert lines[0].startswith("#") and "scanned=3069" in lines[0]
     assert lines[1] == "key\tsize\trank\tlabel\tmembers"
     assert len(lines) == 16
+
+
+def test_census_minimal_rank5(capsys):
+    assert run("census", "minimal", "-r", "5", "-q", "2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# minimal non-comatroids, q=2 r=5, scanned=192438"
+    assert lines[1] == "key\tsize\trank\tlabel\tmembers"
+    assert [line.split("\t")[1] for line in lines[2:]] == ["6", "7", "24", "25"]
 
 
 def test_census_colorings_sampling_is_seeded(capsys):

@@ -15,10 +15,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "comatroid"
 
-# Kept until the exhaustive rank-5 census replaces it (ROADMAP item 1), which
-# deletes it with its one caller, test_rank5_cross_check.
-ALLOWED = {"rank5_binary_minimal_classes"}
-
 
 def _public(name):
     return not name.startswith("_")
@@ -57,8 +53,6 @@ def referenced_names():
 
 
 def test_every_public_name_has_a_caller():
-    names = public_names()
-    assert ALLOWED <= {name for _, name in names}, "stale allowlist entry"
     seen = referenced_names()
-    unused = sorted(qual for qual, name in names if name not in seen and name not in ALLOWED)
+    unused = sorted(qual for qual, name in public_names() if name not in seen)
     assert unused == []
