@@ -143,18 +143,6 @@ def canonical_key(M: EmbeddedMatroid) -> tuple:
     return result
 
 
-def least_image(masks) -> int:
-    """The first of some masks in canonical_key's order (see _mask_less): the
-    key of a spanning green set is (q, r, least_image(its orbit))."""
-    masks = iter(masks)
-    best = next(masks)
-    for mask in masks:
-        d = mask ^ best
-        if mask & d & -d:
-            best = mask
-    return best
-
-
 def _mask_less(a: int, b: int) -> bool:
     """True iff a precedes b: the lowest differing bit belongs to a."""
     d = a ^ b
@@ -178,7 +166,7 @@ def _generator_images(r: int, q: int) -> tuple[tuple[list[int], ...], ...]:
     and over GF(3) the scaling of v0, generate GL(r, q): the shift conjugates
     the transvection to every v_i += v_(i+1), whose commutators give every
     v_i += v_j. Table k maps the masks of points 8k to 8k + 7, and a mask's
-    image is the union of table k at its byte k; two tables up to 16 points.
+    image is the union of table k at its byte k.
     """
     space = point_space(r, q)
     maps = [
@@ -187,7 +175,7 @@ def _generator_images(r: int, q: int) -> tuple[tuple[list[int], ...], ...]:
     ]
     if q > 2:
         maps.append(lambda v: ((2 * v[0]) % q,) + v[1:])
-    chunks = [(s, 1 << min(max(space.n - s, 0), 8)) for s in range(0, max(space.n, 16), 8)]
+    chunks = [(s, 1 << min(space.n - s, 8)) for s in range(0, space.n, 8)]
     perms = [[space.index[normalize(f(v), q)] for v in space.points] for f in maps]
     return tuple(tuple([space.translate_mask(b << s, perm) for b in range(size)]
                        for s, size in chunks) for perm in perms)
@@ -205,15 +193,6 @@ def orbit_of(space: PointSpace, green: int, seen, mark: int = 1) -> list[int]:
     gens = _generator_images(space.r, space.q)
     seen[green] = mark
     orbit = [green]
-    if space.n <= 16:
-        # two tables read without a loop: tabled walks rebuild forbidden tables
-        for mask in orbit:
-            for low, high in gens:
-                image = low[mask & 255] | high[mask >> 8]
-                if not seen[image]:
-                    seen[image] = mark
-                    orbit.append(image)
-        return orbit
     for mask in orbit:
         for tables in gens:
             image = 0

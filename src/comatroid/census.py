@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .canonical import canonical_key, least_image, orbit_of
+from .canonical import canonical_key, orbit_of
 from .catalog import (
     FIVE_VERTEX_GRAPHS,
     TERNARY_RANK3_MINIMAL,
@@ -186,8 +186,8 @@ def minimal_non_comatroids(r: int, q: int) -> CensusReport:
     _search_minimal gives the colorings that meet the second condition, up
     to equivalence and complements; each new one that meets the first has
     its orbit walked, whose least mask represents its class, and the
-    complement of whose greatest represents the complement class. scanned
-    counts the search's nodes.
+    complement of whose greatest represents the complement class; each class
+    is keyed once by canonical_key. scanned counts the search's nodes.
     """
     if q not in FLAT_VIOLATION_FLOOR or not 3 <= r <= FLAT_VIOLATION_FLOOR[q] + 1:
         raise ValueError("census supports (r, q) in (3, 2), (4, 2), (5, 2), (3, 3), "
@@ -197,7 +197,7 @@ def minimal_non_comatroids(r: int, q: int) -> CensusReport:
     leaves, nodes = _search_minimal(space)
     full = space.full_mask
     names = _class_names(r, q)
-    seen = bytearray(1 << space.n) if space.n <= TABLE_POINT_CAP else Counter()
+    seen = Counter()
     classes = set()
     for green in leaves:
         if seen[green] or seen[full ^ green]:
@@ -206,8 +206,8 @@ def minimal_non_comatroids(r: int, q: int) -> CensusReport:
                    for x in (green, full ^ green)):
             continue
         orbit = orbit_of(space, green, seen)
-        pair = (((q, r, least_image(orbit)), min(orbit)),
-                ((q, r, least_image(full ^ m for m in orbit)), full ^ max(orbit)))
+        pair = [(canonical_key(EmbeddedMatroid(space, rep)), rep)
+                for rep in (min(orbit), full ^ max(orbit))]
         for (key, rep), (mate, _) in (pair, pair[::-1]):
             label = names.get(key) or (
                 f"complement of {names[mate]}" if mate in names else "")
