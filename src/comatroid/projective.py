@@ -2,13 +2,18 @@
 
 Points are normalized coordinate tuples (first nonzero coordinate 1) in
 lexicographic order, addressed by index. Point sets are int bitmasks over
-those indices. Rank, closure and components all come from one step on
-indices: joining a point to a flat adds the point and the rest of each line
-through it and a point of the flat, read as masks from a per-point row that
-is filled one line at a time as joins need it. A span takes one join per
-rank, each with the lowest point the flat so far misses. Spaces with at most
-15 points additionally carry full closure/rank lookup tables, which the
-exhaustive searches and the co-spans of components rely on.
+those indices. Rank, closure, components and the embedding of a flat onto
+its own geometry all come from one step on indices: joining a point to a
+flat adds the point and the rest of each line through it and a point of the
+flat. The lines are read from per-point rows that are filled one line at a
+time as joins need them; an entry holds the line's other points as a mask
+and, for the embeddings, labelled by the sums of the two point vectors that
+they are multiples of. A span takes one join per rank, each with the lowest
+point the flat so far misses. Spaces with at most 15 points additionally
+carry full closure/rank lookup tables, which the exhaustive searches and the
+co-spans of components rely on. Coordinates are read only where a line is
+filled, by the hyperplane equations of `flats_of_rank` and by
+`contraction_map`, which alone uses Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .linalg import Echelon, check_field, normalize, vec_add, vec_scale
+from .linalg import Echelon, check_field, normalize, vec_scale
 
 MAX_SPACE_RANK = 8
 # Largest space that carries closure and rank tables, and whose colorings
@@ -65,6 +70,7 @@ class PointSpace:
         self._embeddings: dict[int, tuple["PointSpace", dict[int, int]]] = {}
         self._contractions: dict[int, tuple["PointSpace", list[int | None]]] = {}
         self._lines: list[list[int] | None] = [None] * self.n
+        self._sums: list[list[tuple[tuple[int, int], ...] | None] | None] = [None] * self.n
         if self.n <= TABLE_POINT_CAP:
             self._build_tables()
 
@@ -77,14 +83,14 @@ class PointSpace:
         """The flat spanned by a flat and a point x outside it.
 
         Row x of `_lines`, allocated on the first join with x, holds at i the
-        mask of the other points on the line through i and x, computed on
-        first use; a line has at least three points, so 0 marks an entry not
-        yet computed. Rows are never filled ahead of use: that is O(n^2) work
-        and memory up front, most of it never read.
+        mask of the other points on the line through i and x, filled by
+        `_fill_line` on first use; a line has at least three points, so 0
+        marks an entry not yet filled. Rows are never filled ahead of use:
+        that is O(n^2) work and memory up front, most of it never read.
         """
         row = self._lines[x]
         if row is None:
-            row = self._lines[x] = [0] * self.n
+            row = self._new_rows(x)
         new = flat | (1 << x)
         rest = flat
         while rest:
@@ -92,16 +98,52 @@ class PointSpace:
             i = low.bit_length() - 1
             extra = row[i]
             if not extra:
-                u, v = self.points[i], self.points[x]
-                if self.q == 2:
-                    extra = 1 << self.index[vec_add(u, v, 2)]
-                else:
-                    extra = (1 << self.index[normalize(vec_add(u, v, 3), 3)]
-                             | 1 << self.index[normalize(vec_add(u, vec_scale(2, v, 3), 3), 3)])
-                row[i] = extra
+                extra = self._fill_line(i, x)
             new |= extra
             rest ^= low
         return new
+
+    def _new_rows(self, x: int) -> list[int]:
+        self._sums[x] = [None] * self.n
+        row = self._lines[x] = [0] * self.n
+        return row
+
+    def _fill_line(self, i: int, x: int) -> int:
+        """Fill entry i of row x in `_lines` and `_sums`; returns the `_lines` mask.
+
+        The `_sums` entry labels the other points y of the line through i and
+        x by c = 1..q-1: at c - 1 it holds (y, nu) with v_i + c*v_x = nu*v_y
+        for the point vectors v.
+        """
+        u, v = self.points[i], self.points[x]
+        if self.q == 2:
+            sums = ((self.index[tuple(a ^ b for a, b in zip(u, v))], 1),)
+        else:
+            sums = []
+            for w in (tuple((a + b) % 3 for a, b in zip(u, v)),
+                      tuple((a - b) % 3 for a, b in zip(u, v))):
+                nu = next(filter(None, w))
+                # nu is 1 or 2, its own inverse
+                sums.append((self.index[w if nu == 1 else vec_scale(2, w, 3)], nu))
+            sums = tuple(sums)
+        extra = 0
+        for y, _ in sums:
+            extra |= 1 << y
+        self._lines[x][i] = extra
+        self._sums[x][i] = sums
+        return extra
+
+    def _line_sums(self, i: int, x: int) -> tuple[tuple[int, int], ...]:
+        """The `_sums` entry of the line through i and x, filled if need be."""
+        row = self._sums[x]
+        if row is None:
+            self._new_rows(x)
+            row = self._sums[x]
+        got = row[i]
+        if got is None:
+            self._fill_line(i, x)
+            got = row[i]
+        return got
 
     def _span(self, mask: int) -> int:
         """The closure of mask, one join per rank.
@@ -273,18 +315,49 @@ class PointSpace:
         """Re-coordinatization of a projective flat onto its own geometry.
 
         Returns the small space PG(k-1, q) and the index map defined on every
-        point of the flat, built from the greedy basis of the flat.
+        point of the flat. The map sends the flat's greedy basis b_1..b_k, each
+        the lowest point of the flat outside the span of those before it, to
+        the unit points e_1..e_k, and is built by the joins of that span with
+        no coordinates: each point y that joins with b_j has
+        v_i + c*v_{b_j} = nu*v_y for one earlier point i and one c in 1..q-1
+        (read from `_sums`), and goes to img(i) + mu_i*c*e_j, read from the
+        small space's own row for e_j. Here the coordinates of v_i on the
+        basis are mu_i times img(i): mu is 1 on the basis and mu_y = nu*mu_i,
+        as every unit of GF(2) and GF(3) is its own inverse. Over GF(2) every
+        mu is 1; over GF(3) dropping it sends points of flats of rank 3 and
+        more to the wrong image.
+
+        Raises ValueError if flat_mask is not a flat.
         """
         got = self._embeddings.get(flat_mask)
         if got is not None:
             return got
-        members = list(iter_bits(flat_mask))
-        ech = Echelon(self.q)
-        for i in members:
-            ech.insert(self.points[i])
-        sub = point_space(ech.rank, self.q)
-        # coords() are on the greedy basis, so they have length exactly its rank
-        mapping = {i: sub.index[normalize(ech.coords(self.points[i]), self.q)] for i in members}
+        q = self.q
+        # a mask of no flat's size walks no step and fails the check below
+        k = self._rank_of_size.get(popcount(flat_mask), 0)
+        sub = point_space(k, q)
+        mapping: dict[int, int] = {}
+        mu: dict[int, int] = {}
+        flat = 0
+        rest = flat_mask
+        for j in range(k):
+            # fewer than k steps span fewer points than flat_mask has, so rest is not empty
+            x = (rest & -rest).bit_length() - 1
+            e = sub.index[(0,) * j + (1,) + (0,) * (k - 1 - j)]
+            new = 1 << x
+            for i in iter_bits(flat):
+                m = mu[i]
+                image = sub._line_sums(mapping[i], e)
+                for c, (y, nu) in enumerate(self._line_sums(i, x), 1):
+                    mapping[y] = image[m * c % q - 1][0]
+                    mu[y] = nu * m % q
+                    new |= 1 << y
+            mapping[x] = e
+            mu[x] = 1
+            flat |= new
+            rest &= ~flat
+        if flat != flat_mask:
+            raise ValueError(f"mask {flat_mask:#x} is not a flat of {self!r}")
         got = (sub, mapping)
         self._embeddings[flat_mask] = got
         return got

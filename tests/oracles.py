@@ -2,7 +2,9 @@
 
 Everything here recomputes from first principles (coefficient enumeration
 over coordinate vectors, textbook definitions) without touching the library's
-own rank, closure, or connectivity machinery. There are four exceptions:
+own rank, closure, or connectivity machinery. There are five exceptions:
+`flat_embedding_by_elimination` is the Gaussian-elimination embedding of a
+flat that `PointSpace.flat_embedding` replaced, kept as its reference;
 `forbidden_name_by_key` names forbidden members by canonical keys, the
 mechanism the forbidden-flat orbit tables stand in for;
 `minimal_by_proper_flats` runs the flat criterion on every proper flat
@@ -21,6 +23,7 @@ from comatroid import census
 from comatroid.canonical import canonical_key, orbit_of
 from comatroid.catalog import circuit, circuit_with_u24, parallel_connection, two_sum
 from comatroid.decide import decide_flat_criterion, forbidden_catalog
+from comatroid.linalg import Echelon, normalize
 from comatroid.matroid import EmbeddedMatroid, MatrixPresentation, embed
 from comatroid.projective import iter_bits, point_space, popcount
 
@@ -153,6 +156,21 @@ def brute_vertical_connectivity(space, idxs):
             if ra < rs and rb < rs:
                 best = min(best, ra + rb - rs + 1)
     return best
+
+
+def flat_embedding_by_elimination(space, flat_mask):
+    """The (sub, mapping) of space.flat_embedding(flat_mask), by Gaussian elimination.
+
+    The flat's points go into an echelon basis in index order, so its basis
+    is the greedy one, and each point maps to its normalized coordinates on
+    that basis.
+    """
+    members = list(iter_bits(flat_mask))
+    ech = Echelon(space.q)
+    for i in members:
+        ech.insert(space.points[i])
+    sub = point_space(ech.rank, space.q)
+    return sub, {i: sub.index[normalize(ech.coords(space.points[i]), space.q)] for i in members}
 
 
 def _mat_vec(mat, v, q):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comatroid import linalg
 from comatroid.errors import ResourceLimitError, UnsupportedFieldError
 from comatroid.projective import PointSpace, iter_bits, point_space
 
@@ -14,6 +15,7 @@ from oracles import (
     brute_rank,
     brute_span_members,
     brute_vertical_connectivity,
+    flat_embedding_by_elimination,
 )
 
 
@@ -197,6 +199,47 @@ def test_flat_embedding_preserves_rank():
             part = space.mask_of(members[:cut])
             image = space.translate_mask(part, mapping)
             assert space.rank_of_mask(part) == sub.rank_of_mask(image)
+
+
+def test_flat_embedding_matches_elimination(monkeypatch):
+    # every flat of PG(r-1, 2), r <= 6, and of PG(r-1, 3), r <= 5; over GF(3)
+    # the flats of rank 3 and more need the scalars the walk tracks
+    cases = {}
+    for q, top in [(2, 6), (3, 5)]:
+        for r in range(1, top + 1):
+            space = point_space(r, q)
+            flats = [f for k in range(r + 1) for f in space.flats_of_rank(k)]
+            cases[r, q] = [(f, flat_embedding_by_elimination(space, f)) for f in flats]
+            for fmask, want in cases[r, q]:
+                assert space.flat_embedding(fmask) == want
+    assert sum(map(len, cases.values())) == 6201
+
+    def no_elimination(self, vec):
+        raise AssertionError("flat_embedding ran Gaussian elimination")
+
+    # fresh spaces, so that no memo or filled row comes from the shared ones
+    monkeypatch.setattr(linalg.Echelon, "insert", no_elimination)
+    for (r, q), pairs in cases.items():
+        space = PointSpace(r, q)
+        for fmask, (want_sub, want_map) in pairs:
+            sub, mapping = space.flat_embedding(fmask)
+            assert sub is want_sub
+            assert mapping == want_map
+
+
+@pytest.mark.parametrize("r,q", [(3, 2), (4, 2), (3, 3), (4, 3)])
+def test_flat_embedding_rejects_non_flats(r, q):
+    space = PointSpace(r, q)
+    line = space.flats_of_rank(2)[0]
+    # a line minus a point has no flat's size; a line with one point moved
+    # off it has a line's size but spans a plane
+    low = line & -line
+    off = next(1 << i for i in range(space.n) if not (line >> i) & 1)
+    for mask in (line ^ low, line ^ low | off):
+        with pytest.raises(ValueError, match="not a flat"):
+            space.flat_embedding(mask)
+        assert mask not in space._embeddings
+    assert space.flat_embedding(line) == flat_embedding_by_elimination(space, line)
 
 
 @pytest.mark.parametrize("r,q", [(3, 2), (3, 3)])
