@@ -129,16 +129,16 @@ def _search_minimal(space: PointSpace) -> tuple[list[int], int]:
     induces all of GL on it, and minimality is closed under complements. A
     start whose two traces on H0 are connected and spanning is dropped; the
     traces on any other hyperplane lie in a flat of rank r - 2 and cannot
-    span it. _color then colors the other points.
+    span it. _color then colors the other points, reading each point's
+    (hyperplane, bit) pairs and the start's traces from space's hyperplane
+    incidence.
     """
-    hyperplanes = space.flats_of_rank(space.r - 1)
     hs = point_space(space.r - 1, space.q)
     cs = bytearray(b"\x02") * (1 << hs.n)
-    maps = [space.flat_embedding(h)[1] for h in hyperplanes]
-    h0 = hyperplanes[0]
-    points_of_h0 = {i: p for p, i in maps[0].items()}
-    steps = [(1 << p, [(h, 1 << m[p]) for h, m in enumerate(maps) if p in m])
-             for p in range(space.n) if not (h0 >> p) & 1]
+    h0 = space.flats_of_rank(space.r - 1)[0]
+    points_of_h0 = {i: p for p, i in space.flat_embedding(h0)[1].items()}
+    incidence = space.hyperplane_incidence
+    steps = [(1 << p, incidence[p]) for p in range(space.n) if not (h0 >> p) & 1]
     seen = bytearray(1 << hs.n)
     found = [0, []]
     for x in range(1 << hs.n):
@@ -149,8 +149,7 @@ def _search_minimal(space: PointSpace) -> tuple[list[int], int]:
                 and _connected_spanning(hs, cs, hs.full_mask ^ x)):
             continue
         green = space.translate_mask(x, points_of_h0)
-        gt, rt = ([space.translate_mask(side & h, m) for h, m in zip(hyperplanes, maps)]
-                  for side in (green, h0 ^ green))
+        gt, rt = (space.hyperplane_traces(side) for side in (green, h0 ^ green))
         _color(steps, hs, cs, space.n, 0, green, gt, rt, found)
     return found[1], found[0]
 
@@ -325,20 +324,21 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     An extension survives when its green hyperplane count i stays below 26
     and, with the complement's count j, i + j stays below 32; j is skipped
     whenever i alone already disqualifies the extension. Every hyperplane
-    re-embeds by flat_embedding onto the one PG(3,2), where each side's trace
-    is a mask: the green trace of seed + S is the seed's trace plus S's, and
-    the red trace is the rest of the hyperplane. So both counts read one
-    table over PG(3,2)'s masks, a local of this call, whose entry says
-    whether a trace is connected and spans; entries are filled on first read.
-    The seed's trace and each spare point's bit are translated once per
-    hyperplane. The extensions are then walked by a depth-first search from
-    the seed that adds spare points in increasing order and updates i point
-    by point; the seed record is the search root's. The table is monotone: a
-    connected spanning trace stays so when a point of its hyperplane joins
-    it, as that point lies in its closure and is no loop. So i never falls
-    along a branch, and a node with i >= 26 stands for its whole subtree: the
-    search adds sum_{d=0}^{b} C(s, d) to scanned, for s spare points after
-    the node's last and a budget of b more points, and does not walk it.
+    is read in the one PG(3,2), where each side's trace is a mask: the green
+    trace of seed + S is the seed's trace plus S's, and the red trace is the
+    rest of the hyperplane. So both counts read one table over PG(3,2)'s
+    masks, a local of this call, whose entry says whether a trace is
+    connected and spans; entries are filled on first read. The seed's traces
+    and each spare point's (hyperplane, bit) pairs come from the space's
+    hyperplane incidence. The extensions are then walked by a depth-first
+    search from the seed that adds spare points in increasing order and
+    updates i point by point; the seed record is the search root's. The
+    table is monotone: a connected spanning trace stays so when a point of
+    its hyperplane joins it, as that point lies in its closure and is no
+    loop. So i never falls along a branch, and a node with i >= 26 stands
+    for its whole subtree: the search adds sum_{d=0}^{b} C(s, d) to scanned,
+    for s spare points after the node's last and a budget of b more points,
+    and does not walk it.
     Survivors are sorted by size, then by mask.
     jobs is unused; it is kept only because the benchmark still passes it.
     """
@@ -352,18 +352,9 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
         raise ValueError(f"max_extra {max_extra} outside 0..{len(ext)} spare points")
     hs = point_space(space.r - 1, 2)
     cs = bytearray(b"\x02") * (1 << hs.n)
-    # each spare point's (hyperplane, bit of hs) pairs
-    steps = [[] for _ in ext]
-    idx = []
-    for h, hmask in enumerate(space.flats_of_rank(space.r - 1)):
-        _, mapping = space.flat_embedding(hmask)
-        x = space.translate_mask(green0 & hmask, mapping)
-        _connected_spanning(hs, cs, x)
-        idx.append(x)
-        for k, p in enumerate(ext):
-            if (hmask >> p) & 1:
-                steps[k].append((h, 1 << mapping[p]))
-    seed_i = sum(cs[x] for x in idx)
+    steps = [space.hyperplane_incidence[p] for p in ext]
+    idx = space.hyperplane_traces(green0)
+    seed_i = sum(_connected_spanning(hs, cs, x) for x in idx)
     found = [0, 0, []]
     _descend(steps, hs, cs, len(ext), 0, max_extra, 0, idx, seed_i, found)
     scanned, j_computed, survivors = found

@@ -9,7 +9,8 @@ complement against a finite catalog plus unbounded families.
 The deciders and the replay take an EmbeddedMatroid at the door and work on
 (space, green) pairs inside: green is a mask spanning space, a complement is
 space.full_mask ^ green, and a component or a flat's green set is moved into
-its own span by PointSpace.spanned.
+its own span by PointSpace.spanned; the flat scans read a hyperplane's green
+set as its trace in PG(r-2, q), from PointSpace.hyperplane_traces.
 """
 
 from __future__ import annotations
@@ -91,6 +92,25 @@ def decide_recursive(M: EmbeddedMatroid) -> Verdict:
 
 # ------------------------------------------------------------ flat criterion
 
+def _flat_sides(space, green: int):
+    """(F, rank, s, x, y) for each flat F of space from FLAT_VIOLATION_FLOOR up,
+    top rank first and lazily, with x = F ∩ G and y = F − G as masks of s.
+
+    s is PG(r-2, q) for the hyperplanes, read as traces, which has tables
+    where most inputs live, and space itself elsewhere: a space per level
+    would hold one more set of memos each.
+    """
+    for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
+        flats = space.flats_of_rank(frank)
+        if frank == space.r - 1:
+            sub = point_space(frank, space.q)
+            for fmask, x in zip(flats, space.hyperplane_traces(green)):
+                yield fmask, frank, sub, x, sub.full_mask ^ x
+        else:
+            for fmask in flats:
+                yield fmask, frank, space, fmask & green, fmask & ~green
+
+
 def _violating_flats(space, green: int):
     """The flats F of space, from FLAT_VIOLATION_FLOOR up, at which the green set
     fails the flat criterion: r(F ∩ G) = r(F − G) and both sides connected.
@@ -99,14 +119,10 @@ def _violating_flats(space, green: int):
     connected is the common failure, so most non-comatroids yield the full
     space before any lower level of the flat lattice is built.
     """
-    rank = space.rank_of_mask
-    connected = space.is_connected_mask
-    for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
-        for fmask in space.flats_of_rank(frank):
-            x = fmask & green
-            y = fmask & ~green
-            if rank(x) == rank(y) and connected(x) and connected(y):
-                yield fmask
+    for fmask, _, s, x, y in _flat_sides(space, green):
+        if (s.rank_of_mask(x) == s.rank_of_mask(y)
+                and s.is_connected_mask(x) and s.is_connected_mask(y)):
+            yield fmask
 
 
 def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
@@ -163,6 +179,12 @@ def _members(rank: int, q: int) -> dict[tuple, str]:
 
 
 @lru_cache(maxsize=None)
+def _member_sizes(rank: int, q: int) -> frozenset[int]:
+    """The sizes of the members of _members(rank, q)."""
+    return frozenset(popcount(key[2]) for key in _members(rank, q))
+
+
+@lru_cache(maxsize=None)
 def _orbit_table(rank: int, q: int):
     """The members of _members(rank, q) as a lookup over every mask of PG(rank-1, q).
 
@@ -194,8 +216,7 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
     q = space.q
     if size == rank + 1 and size >= _MIN_CIRCUIT[q] and space.is_connected_mask(x):
         return f"circuit of size {size}"
-    members = _members(rank, q)
-    if all(popcount(key[2]) != size for key in members):
+    if size not in _member_sizes(rank, q):
         return None
     tabled = _orbit_table(rank, q)
     if tabled is not None:
@@ -204,7 +225,7 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
         return names[hit - 1] if hit else None
     if not space.is_connected_mask(x):
         return None
-    return members.get(canonical_key(EmbeddedMatroid(space, x)))
+    return _members(rank, q).get(canonical_key(EmbeddedMatroid(space, x)))
 
 
 def _match_forbidden(space, green: int):
@@ -212,18 +233,17 @@ def _match_forbidden(space, green: int):
 
     A forbidden member has rank FLAT_VIOLATION_FLOOR[q] or more (see there),
     so only flats of those ranks are scanned; each matroid flat is visited
-    once, at its own closure.
+    once, at its own closure, where x = F ∩ G has the rank of F. A
+    hyperplane's trace is the mask space.spanned(x) would give.
     """
     # top-rank flats first: circuits and family members sit at the span, so
     # dense non-members are rejected before the wide low-rank levels
-    for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
-        for fmask in space.flats_of_rank(frank):
-            x = fmask & green
-            if x == 0 or space.closure_mask(x) != fmask:
-                continue
-            name = _classify_flat(space, x, frank)
-            if name is not None:
-                return (tuple(iter_bits(x)), name)
+    for fmask, frank, s, x, _ in _flat_sides(space, green):
+        if x == 0 or s.rank_of_mask(x) != frank:
+            continue
+        name = _classify_flat(s, x, frank)
+        if name is not None:
+            return (tuple(iter_bits(fmask & green)), name)
     return None
 
 

@@ -11,15 +11,17 @@ and, for the embeddings, labelled by the sums of the two point vectors that
 they are multiples of. A span takes one join per rank, each with the lowest
 point the flat so far misses. Spaces with at most 15 points additionally
 carry full closure/rank lookup tables, which the exhaustive searches and the
-co-spans of components rely on. Coordinates are read only where a line is
-filled, by the hyperplane equations of `flats_of_rank` and by
-`contraction_map`, which alone uses Gaussian elimination.
+co-spans of components rely on. The hyperplane incidence, read off the
+hyperplanes' embeddings, gives a mask's trace on every hyperplane at once.
+Coordinates are read only where a line is filled, by the hyperplane
+equations of `flats_of_rank` and by `contraction_map`, which alone uses
+Gaussian elimination.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ResourceLimitError
 from .linalg import Echelon, check_field, normalize, vec_scale
@@ -361,6 +363,33 @@ class PointSpace:
         got = (sub, mapping)
         self._embeddings[flat_mask] = got
         return got
+
+    @cached_property
+    def hyperplane_incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per point, the (h, 1 << image) pairs of the hyperplanes through it.
+
+        h indexes flats_of_rank(r - 1) and image is the point's index under
+        flat_embedding of hyperplane h, so the bits are points of
+        point_space(r - 1, q). Pairs are in increasing h. Built on first use.
+        """
+        pairs = [[] for _ in range(self.n)]
+        for h, hmask in enumerate(self.flats_of_rank(self.r - 1)):
+            for p, image in self.flat_embedding(hmask)[1].items():
+                pairs[p].append((h, 1 << image))
+        return tuple(map(tuple, pairs))
+
+    def hyperplane_traces(self, mask: int) -> list[int]:
+        """The trace of mask on each hyperplane H, in the order of flats_of_rank(r - 1):
+        translate_mask(mask & H, flat_embedding(H)[1]), a mask of point_space(r - 1, q)."""
+        incidence = self.hyperplane_incidence
+        # by duality there are as many hyperplanes as points
+        traces = [0] * self.n
+        while mask:
+            low = mask & -mask
+            for h, bit in incidence[low.bit_length() - 1]:
+                traces[h] |= bit
+            mask ^= low
+        return traces
 
     def translate_mask(self, mask: int, mapping: dict[int, int]) -> int:
         out = 0

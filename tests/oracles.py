@@ -2,9 +2,12 @@
 
 Everything here recomputes from first principles (coefficient enumeration
 over coordinate vectors, textbook definitions) without touching the library's
-own rank, closure, or connectivity machinery. There are five exceptions:
+own rank, closure, or connectivity machinery. There are seven exceptions:
 `flat_embedding_by_elimination` is the Gaussian-elimination embedding of a
 flat that `PointSpace.flat_embedding` replaced, kept as its reference;
+`violating_flats_ambient` and `match_forbidden_ambient` are the two flat
+deciders' scans with every flat read in the ambient space, the references
+for the scans that read each hyperplane as its trace in PG(r-2, q);
 `forbidden_name_by_key` names forbidden members by canonical keys, the
 mechanism the forbidden-flat orbit tables stand in for;
 `minimal_by_proper_flats` runs the flat criterion on every proper flat
@@ -22,7 +25,12 @@ import itertools
 from comatroid import census
 from comatroid.canonical import canonical_key, orbit_of
 from comatroid.catalog import circuit, circuit_with_u24, parallel_connection, two_sum
-from comatroid.decide import decide_flat_criterion, forbidden_catalog
+from comatroid.decide import (
+    FLAT_VIOLATION_FLOOR,
+    _classify_flat,
+    decide_flat_criterion,
+    forbidden_catalog,
+)
 from comatroid.linalg import Echelon, normalize
 from comatroid.matroid import EmbeddedMatroid, MatrixPresentation, embed
 from comatroid.projective import iter_bits, point_space, popcount
@@ -171,6 +179,33 @@ def flat_embedding_by_elimination(space, flat_mask):
         ech.insert(space.points[i])
     sub = point_space(ech.rank, space.q)
     return sub, {i: sub.index[normalize(ech.coords(space.points[i]), space.q)] for i in members}
+
+
+def violating_flats_ambient(space, green):
+    """decide._violating_flats with every flat F read in space: F ∩ G and F − G
+    are ambient masks, asked of space's own rank and components."""
+    rank = space.rank_of_mask
+    connected = space.is_connected_mask
+    for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
+        for fmask in space.flats_of_rank(frank):
+            x = fmask & green
+            y = fmask & ~green
+            if rank(x) == rank(y) and connected(x) and connected(y):
+                yield fmask
+
+
+def match_forbidden_ambient(space, green):
+    """decide._match_forbidden with every flat F read in space: F ∩ G is an
+    ambient mask, tested by space's closure and classified in space."""
+    for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
+        for fmask in space.flats_of_rank(frank):
+            x = fmask & green
+            if x == 0 or space.closure_mask(x) != fmask:
+                continue
+            name = _classify_flat(space, x, frank)
+            if name is not None:
+                return (tuple(iter_bits(x)), name)
+    return None
 
 
 def _mat_vec(mat, v, q):

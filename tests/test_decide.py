@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comatroid import decide
+from comatroid.canonical import apply_linear_map
 from comatroid.catalog import (
     FIVE_VERTEX_GRAPHS,
     catalog_names,
@@ -30,6 +31,7 @@ from comatroid.decide import (
     verify_certificate,
 )
 from comatroid.errors import ResourceLimitError
+from comatroid.linalg import random_invertible
 from comatroid.matroid import EmbeddedMatroid, embed
 from comatroid.projective import iter_bits, point_space, popcount
 
@@ -38,6 +40,8 @@ from oracles import (
     FORBIDDEN_LIST_SHA256,
     VERDICT_SHA256,
     forbidden_name_by_key,
+    match_forbidden_ambient,
+    violating_flats_ambient,
 )
 
 DECIDERS = (decide_recursive, decide_flat_criterion, decide_forbidden_flats)
@@ -642,3 +646,41 @@ def test_verdict_methods():
     assert decide_recursive(m).method == "recursive"
     assert decide_flat_criterion(m).method == "flat-criterion"
     assert decide_forbidden_flats(m).method == "forbidden-flat"
+
+
+def _spanning_comatroid(rng, q, r):
+    """A comatroid spanning PG(r-1, q), built from nothing by sums and complements."""
+    if r == 0:
+        return EmbeddedMatroid(point_space(0, q), 0)
+    if r >= 2 and rng.random() < 0.5:
+        r1 = rng.randint(1, r - 1)
+        return _spanning_comatroid(rng, q, r1).direct_sum(_spanning_comatroid(rng, q, r - r1))
+    return _spanning_comatroid(rng, q, rng.randint(0, r - 1)).complement(r)
+
+
+def test_traced_flat_scans_match_ambient_references(monkeypatch):
+    """Both flat deciders read hyperplanes as traces in PG(r-2, q); their verdicts,
+    certificates included, equal those of the scans reading every flat in the
+    ambient space, on seeded comatroids moved by a random map and their
+    one-point flips. At PG(5,2) and PG(4,3) traced and ambient levels mix."""
+    inputs = []
+    for r, q, count, seed in ((5, 2, 100, 61), (4, 3, 100, 62), (6, 2, 3, 63), (5, 3, 3, 64)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            m = apply_linear_map(_spanning_comatroid(rng, q, r), random_invertible(r, q, rng))
+            inputs += [m, EmbeddedMatroid(m.space, m.green_mask ^ (1 << rng.randrange(m.space.n)))]
+    traced = [(decide_flat_criterion(m), decide_forbidden_flats(m)) for m in inputs]
+    monkeypatch.setattr(decide, "_violating_flats", violating_flats_ambient)
+    monkeypatch.setattr(decide, "_match_forbidden", match_forbidden_ambient)
+    ambient = [(decide_flat_criterion(m), decide_forbidden_flats(m)) for m in inputs]
+    assert traced == ambient
+    # the witnesses reach the traced level in both deciders
+    on_hyperplanes = Counter()
+    for m, verdicts in zip(inputs, traced):
+        space = m.to_span().space
+        for v in verdicts:
+            match v.certificate:
+                case ("violating-flat", members) | ("witness", "M", members, _):
+                    if space.rank_of_mask(space.mask_of(members)) == space.r - 1:
+                        on_hyperplanes[v.method] += 1
+    assert min(on_hyperplanes[d] for d in ("flat-criterion", "forbidden-flat")) > 0, on_hyperplanes

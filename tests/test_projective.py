@@ -242,6 +242,22 @@ def test_flat_embedding_rejects_non_flats(r, q):
     assert space.flat_embedding(line) == flat_embedding_by_elimination(space, line)
 
 
+@pytest.mark.parametrize("r,q", [(5, 2), (4, 3), (6, 2), (5, 3)])
+def test_hyperplane_traces_match_embeddings(r, q):
+    space = point_space(r, q)
+    hyperplanes = space.flats_of_rank(r - 1)
+    on_each = (q ** (r - 1) - 1) // (q - 1)
+    for pairs in space.hyperplane_incidence:
+        assert len(pairs) == on_each
+        assert [h for h, _ in pairs] == sorted({h for h, _ in pairs})
+    rng = random.Random(r * 10 + q)
+    for m in [0, space.full_mask] + [rng.getrandbits(space.n) for _ in range(20)]:
+        traces = space.hyperplane_traces(m)
+        assert len(traces) == len(hyperplanes)
+        for hmask, trace in zip(hyperplanes, traces):
+            assert trace == space.translate_mask(m & hmask, space.flat_embedding(hmask)[1])
+
+
 @pytest.mark.parametrize("r,q", [(3, 2), (3, 3)])
 def test_contraction_map_fibers(r, q):
     space = point_space(r, q)
