@@ -14,10 +14,12 @@ prune early.
 
 The search never touches coordinates. A nonzero vector s * point[p] is coded
 as the integer p * (q - 1) + s - 1, so scaling by c is code ^ (c - 1), and
-one sum table per space, built lazily from vec_add the first time the space
-is keyed, gives the code of the sum of two coded vectors. Each flag position
-then costs one table read: its image is the new basis image plus a scaled
-image of a lower flag point, and its point is code // (q - 1).
+a per-space table of sums gives the code of the sum of two coded vectors.
+Its rows are filled from vec_add one at a time, the first time a key reads
+them: a key reads only the rows of its green points' codes, each fetched once
+per choice of basis image and scaling. Each flag position then costs one read
+of that row: its image is the new basis image plus a scaled image of a lower
+flag point, and its point is code // (q - 1).
 """
 
 from __future__ import annotations
@@ -61,18 +63,31 @@ def _flag_table(r: int, q: int):
     return tuple(levels)
 
 
-@lru_cache(maxsize=None)
-def _code_sums(r: int, q: int) -> list[int]:
-    """Sums of coded vectors: entry a * (N + 1) + b is the code of vec(a) + vec(b).
+class _CodeSums(dict):
+    """Sums of coded vectors, one row per code filled the first time it is read:
+    row a holds at b the code of vec(a) + vec(b).
 
     Code p * (q - 1) + s - 1 stands for s * point[p], and code N = n * (q - 1)
-    for the zero vector. PG(5,3) has 729 codes and so 531,441 entries.
+    for the zero vector. A key reads only the rows of its green points' codes,
+    so PG(5,3), with 729 codes and 531,441 sums, is never filled whole.
     """
-    space = point_space(r, q)
-    vecs = [vec_scale(s, p, q) for p in space.points for s in range(1, q)]
-    vecs.append((0,) * r)
-    code = {v: c for c, v in enumerate(vecs)}
-    return [code[vec_add(a, b, q)] for a in vecs for b in vecs]
+
+    def __init__(self, r: int, q: int):
+        super().__init__()
+        space = point_space(r, q)
+        self.q = q
+        self.vecs = [vec_scale(s, p, q) for p in space.points for s in range(1, q)]
+        self.vecs.append((0,) * r)
+        self.code = {v: c for c, v in enumerate(self.vecs)}
+
+    def __missing__(self, a: int) -> list[int]:
+        va, code, q = self.vecs[a], self.code, self.q
+        row = self[a] = [code[vec_add(va, b, q)] for b in self.vecs]
+        return row
+
+
+# one shared table per space
+_code_sums = lru_cache(maxsize=None)(_CodeSums)
 
 
 def canonical_key(M: EmbeddedMatroid) -> tuple:
@@ -90,15 +105,15 @@ def canonical_key(M: EmbeddedMatroid) -> tuple:
     levels = _flag_table(r, q)
     sums = _code_sums(r, q)
     width = q - 1
-    stride = space.n * width + 1
+    zero = space.n * width  # the code of the zero vector
     # the point bit of each code's point if it is green, else 0
-    green_bit = [green & (1 << (c // width)) for c in range(stride)]
+    green_bit = [green & (1 << (c // width)) for c in range(zero + 1)]
     members = list(iter_bits(green))
     best: list[int | None] = [None]
 
     # codes[i] codes the image of flag point i on the current search path;
     # a level reads only the slots of lower levels, so one list serves all
-    codes = [0] * space.n + [stride - 1]
+    codes = [0] * space.n + [zero]
 
     def extend(depth, img, span_green):
         prefix, steps = levels[depth - 1]
@@ -116,11 +131,11 @@ def canonical_key(M: EmbeddedMatroid) -> tuple:
                     if diff and not img & (diff & -diff):
                         return
                     ahead = bool(diff)
-                row = (g * width + flip_g) * stride
+                row = sums[g * width + flip_g]
                 new_span = span_green
                 grown = img
                 for i, ibit, slot, flip in steps:
-                    w = sums[row + (codes[slot] ^ flip)]
+                    w = row[codes[slot] ^ flip]
                     codes[i] = w
                     bit = green_bit[w]
                     if bit:

@@ -10,7 +10,10 @@ The deciders and the replay take an EmbeddedMatroid at the door and work on
 (space, green) pairs inside: green is a mask spanning space, a complement is
 space.full_mask ^ green, and a component or a flat's green set is moved into
 its own span by PointSpace.spanned; the flat scans read a hyperplane's green
-set as its trace in PG(r-2, q), from PointSpace.hyperplane_traces.
+set as its trace in PG(r-2, q), from PointSpace.hyperplane_traces. The
+forbidden members of each rank are listed once as masks (_member_masks): a
+flat's green set is screened by their sizes and, where no orbit table
+names it, by their hyperplane profiles before it is given a canonical key.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
 def forbidden_catalog(q: int) -> tuple[tuple[str, int, int, tuple], ...]:
     """Fixed forbidden-flat entries for GF(q) as sorted (name, rank, size, key).
 
-    _members adds the circuit-with-U(2,4) family; _classify_flat tests circuits.
+    _member_masks adds the circuit-with-U(2,4) family; _classify_flat tests circuits.
     """
     entries = []
     for name, pres in forbidden_fixed(q):
@@ -157,51 +160,76 @@ def forbidden_catalog(q: int) -> tuple[tuple[str, int, int, tuple], ...]:
 
 
 @lru_cache(maxsize=None)
-def _members(rank: int, q: int) -> dict[tuple, str]:
-    """The forbidden members of rank `rank` other than circuits, {canonical key: name}.
+def _member_masks(rank: int, q: int) -> tuple[tuple[str, int, bool], ...]:
+    """The forbidden members of rank `rank` other than circuits, as (name, mask,
+    keyed) with mask spanning point_space(rank, q), each listed once.
 
-    First the circuit-with-U(2,4) family members over GF(3): a k-circuit with
-    d copies of U(2,4) two-summed on has rank k + d - 1, and d of its k
-    elements carry a copy, so k + d = rank + 1 with 1 <= d <= k and k >= 3.
-    Then the entries of forbidden_catalog(q) of that rank, in its sorted
-    order. A key listed twice keeps its first name.
+    First the circuit-with-U(2,4) family over GF(3), embedded unkeyed: a
+    k-circuit with d copies of U(2,4) two-summed on has rank k + d - 1, and d
+    of its k elements carry a copy, so k + d = rank + 1 with 1 <= d <= k and
+    k >= 3. Then the entries of forbidden_catalog(q) of that rank, in its
+    sorted order, each as its key's mask (keyed).
     """
-    out = {}
+    out = []
     if q == 3:
         for d in range(1, min((rank + 1) // 2, rank - 2) + 1):
             k = rank + 1 - d
-            key = canonical_key(embed(circuit_with_u24(k, range(d))))
-            out.setdefault(key, f"circuit with U(2,4) family (k={k}, d={d})")
-    for name, r, _, key in forbidden_catalog(q):
-        if r == rank:
-            out.setdefault(key, name)
+            out.append((f"circuit with U(2,4) family (k={k}, d={d})",
+                        embed(circuit_with_u24(k, range(d))).green_mask, False))
+    out += [(name, key[2], True) for name, r, _, key in forbidden_catalog(q) if r == rank]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _members(rank: int, q: int) -> dict[tuple, str]:
+    """The members of _member_masks(rank, q) as {canonical key: name}; a key
+    listed twice keeps its first name. Only here is a family member keyed."""
+    space = point_space(rank, q)
+    out = {}
+    for name, mask, keyed in _member_masks(rank, q):
+        key = (q, rank, mask) if keyed else canonical_key(EmbeddedMatroid(space, mask))
+        out.setdefault(key, name)
     return out
 
 
 @lru_cache(maxsize=None)
 def _member_sizes(rank: int, q: int) -> frozenset[int]:
-    """The sizes of the members of _members(rank, q)."""
-    return frozenset(popcount(key[2]) for key in _members(rank, q))
+    """The sizes of the members of _member_masks(rank, q)."""
+    return frozenset(popcount(mask) for _, mask, _ in _member_masks(rank, q))
+
+
+def _hyperplane_profile(space, x: int) -> tuple[int, ...]:
+    """Sorted |x ∩ H| over the hyperplanes H of space: a linear map carries
+    hyperplanes onto hyperplanes, so equivalent spanning sets share it."""
+    return tuple(sorted(popcount(x & h) for h in space.flats_of_rank(space.r - 1)))
+
+
+@lru_cache(maxsize=None)
+def _member_profiles(rank: int, q: int) -> frozenset[tuple[int, ...]]:
+    """The hyperplane profiles of the members of _member_masks(rank, q)."""
+    space = point_space(rank, q)
+    return frozenset(_hyperplane_profile(space, mask) for _, mask, _ in _member_masks(rank, q))
 
 
 @lru_cache(maxsize=None)
 def _orbit_table(rank: int, q: int):
-    """The members of _members(rank, q) as a lookup over every mask of PG(rank-1, q).
+    """The members of _member_masks(rank, q) as a lookup over every mask of PG(rank-1, q).
 
     Returns (table, names): table[mask] is 0 for no member and 1 + i for
-    names[i]. Each member's orbit is walked from its canonical key, which lies
-    in this same space, in the order of _members, so a mask is named as the
-    key lookup would name it. None above TABLE_POINT_CAP points: an orbit
-    there can run to 10^5 masks and more.
+    names[i]. Each member's orbit is walked from its mask, which lies in this
+    same space, in the order of _member_masks; an orbit already walked marks
+    nothing more, so a mask is named as the first equal key of _members
+    would name it, and no member is keyed. None above TABLE_POINT_CAP
+    points: an orbit there can run to 10^5 masks and more.
     """
     space = point_space(rank, q)
     if space.n > TABLE_POINT_CAP:
         return None
-    members = _members(rank, q)
+    members = _member_masks(rank, q)
     table = bytearray(1 << space.n)
-    for i, (_, _, mask) in enumerate(members):
+    for i, (_, mask, _) in enumerate(members):
         orbit_of(space, mask, table, 1 + i)
-    return table, tuple(members.values())
+    return table, tuple(name for name, _, _ in members)
 
 
 def _classify_flat(space, x: int, rank: int) -> str | None:
@@ -209,8 +237,10 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
 
     The circuit test is cheapest and comes first. Then x must have the size
     of a member of its rank. A rank whose geometry PG(rank-1, q) has an orbit
-    table reads it at x moved into its own span. Elsewhere a connected x is
-    looked up by canonical key: every member is minimal, and so connected.
+    table reads it at x moved into its own span. Elsewhere x must be
+    connected, as every member is minimal, and moved into its own span it must
+    have the hyperplane profile of a member; only then is it looked up by
+    canonical key. The profile only screens: the key alone names x.
     """
     size = popcount(x)
     q = space.q
@@ -225,7 +255,10 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
         return names[hit - 1] if hit else None
     if not space.is_connected_mask(x):
         return None
-    return _members(rank, q).get(canonical_key(EmbeddedMatroid(space, x)))
+    sub, x = space.spanned(x)
+    if _hyperplane_profile(sub, x) not in _member_profiles(rank, q):
+        return None
+    return _members(rank, q).get(canonical_key(EmbeddedMatroid(sub, x)))
 
 
 def _match_forbidden(space, green: int):

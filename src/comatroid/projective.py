@@ -12,7 +12,10 @@ they are multiples of. A span takes one join per rank, each with the lowest
 point the flat so far misses. Spaces with at most 15 points additionally
 carry full closure/rank lookup tables, which the exhaustive searches and the
 co-spans of components rely on. The hyperplane incidence, read off the
-hyperplanes' embeddings, gives a mask's trace on every hyperplane at once.
+hyperplanes' embeddings, is kept as (hyperplane, bit) pairs per point, which
+the census and the extension scan walk, and packed into one int per point
+with a field per hyperplane: a mask's traces on every hyperplane are one OR
+per point of the mask, cut into fields.
 Coordinates are read only where a line is filled, by the hyperplane
 equations of `flats_of_rank` and by `contraction_map`, which alone uses
 Gaussian elimination.
@@ -378,18 +381,36 @@ class PointSpace:
                 pairs[p].append((h, 1 << image))
         return tuple(map(tuple, pairs))
 
+    @cached_property
+    def _packed_incidence(self) -> tuple[int, tuple[int, ...]]:
+        """(width, packed): per point, the bits of hyperplane_incidence packed
+        into one int, with the bit of hyperplane h in field h of `width` bits.
+
+        Read off the embeddings as hyperplane_incidence is, so that the
+        deciders, which read only traces, never build the pairs.
+        """
+        # a hyperplane has (n - 1) / q points; PG(0, q)'s empty one gets one bit
+        width = max(1, (self.n - 1) // self.q)
+        packed = [0] * self.n
+        for h, hmask in enumerate(self.flats_of_rank(self.r - 1)):
+            for p, image in self.flat_embedding(hmask)[1].items():
+                packed[p] |= 1 << (h * width + image)
+        return width, tuple(packed)
+
     def hyperplane_traces(self, mask: int) -> list[int]:
         """The trace of mask on each hyperplane H, in the order of flats_of_rank(r - 1):
-        translate_mask(mask & H, flat_embedding(H)[1]), a mask of point_space(r - 1, q)."""
-        incidence = self.hyperplane_incidence
-        # by duality there are as many hyperplanes as points
-        traces = [0] * self.n
+        translate_mask(mask & H, flat_embedding(H)[1]), a mask of point_space(r - 1, q),
+        cut from the OR of the packed ints of mask's points (see _packed_incidence).
+        """
+        width, packed = self._packed_incidence
+        acc = 0
         while mask:
             low = mask & -mask
-            for h, bit in incidence[low.bit_length() - 1]:
-                traces[h] |= bit
+            acc |= packed[low.bit_length() - 1]
             mask ^= low
-        return traces
+        field = (1 << width) - 1
+        # by duality there are as many hyperplanes as points
+        return [(acc >> shift) & field for shift in range(0, self.n * width, width)]
 
     def translate_mask(self, mask: int, mapping: dict[int, int]) -> int:
         out = 0

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from comatroid.canonical import (
+    _code_sums,
+    _CodeSums,
     _key_memo,
     apply_linear_map,
     canonical_key,
@@ -16,9 +18,9 @@ from comatroid.canonical import (
     point_permutation,
 )
 from comatroid.errors import ResourceLimitError
-from comatroid.linalg import random_invertible
+from comatroid.linalg import random_invertible, vec_add, vec_scale
 from comatroid.matroid import EmbeddedMatroid, MatrixPresentation, embed
-from comatroid.projective import point_space
+from comatroid.projective import iter_bits, point_space
 
 from oracles import CANONICAL_KEY_SHA256, brute_canonical_mask, brute_rank
 
@@ -88,6 +90,38 @@ def test_rank_cap():
     assert m.rank == 7
     with pytest.raises(ResourceLimitError):
         canonical_key(m)
+
+
+def _decode(space, code):
+    """The vector a sum-table code stands for: s * point[p] at p * (q - 1) + s - 1."""
+    if code == space.n * (space.q - 1):
+        return (0,) * space.r
+    p, s = divmod(code, space.q - 1)
+    return vec_scale(s + 1, space.points[p], space.q)
+
+
+@pytest.mark.parametrize("r,q", [(3, 3), (4, 3), (5, 2)])
+def test_code_sum_rows_match_vec_add(r, q):
+    space = point_space(r, q)
+    sums = _CodeSums(r, q)
+    codes = range(space.n * (q - 1) + 1)
+    for a in codes:
+        row = sums[a]
+        assert [_decode(space, c) for c in row] == [
+            vec_add(_decode(space, a), _decode(space, b), q) for b in codes]
+    assert len(sums) == len(codes)
+
+
+def test_keying_fills_only_rows_of_green_codes():
+    # a key reads the rows of its green points' codes: two scalings each over GF(3)
+    space = point_space(4, 3)
+    green = space.mask_of(random.Random(7).sample(range(space.n), 7))
+    _code_sums.cache_clear()
+    _key_memo.pop((4, 3, green), None)
+    canonical_key(EmbeddedMatroid(space, green))
+    rows = _code_sums(4, 3)
+    assert 0 < len(rows) <= 2 * 7
+    assert {a // 2 for a in rows} <= set(iter_bits(green))
 
 
 def test_point_permutation_is_permutation():

@@ -444,6 +444,47 @@ def test_orbit_tables_match_key_oracle_through_translation():
         assert hits > 0
 
 
+def test_member_masks_sizes_and_profiles_match_keys():
+    # sizes and hyperplane profiles are read from the member masks, unkeyed;
+    # both must agree with the canonical keys the untabled lookup compares
+    for q, ranks in ((2, (4, 5, 6)), (3, (3, 4, 5, 6))):
+        for rank in ranks:
+            keys = decide._members(rank, q)
+            assert decide._member_sizes(rank, q) == {popcount(k[2]) for k in keys}
+            space = point_space(rank, q)
+            profiles = decide._member_profiles(rank, q)
+            for key in keys:
+                assert decide._hyperplane_profile(space, key[2]) in profiles
+
+
+def test_profile_gate_matches_key_oracle_on_untabled_spaces():
+    # seeded connected masks of every member size (circuits included), and
+    # random linear images of each member: the gate must pass every member
+    for r, q, seed in ((5, 2, 41), (4, 3, 42)):
+        space = point_space(r, q)
+        rng = random.Random(seed)
+        sizes = sorted(decide._member_sizes(r, q) | {r + 1})
+        masks = [space.mask_of(rng.sample(range(space.n), rng.choice(sizes)))
+                 for _ in range(150)]
+        masks = [x for x in masks if space.is_connected_mask(x)]
+        for mask in decide._members(r, q):
+            for _ in range(5):
+                m = apply_linear_map(EmbeddedMatroid(space, mask[2]),
+                                     random_invertible(r, q, rng))
+                masks.append(m.green_mask)
+        named_count = Counter()
+        for x in masks:
+            got = _classify_flat(space, x, space.rank_of_mask(x))
+            assert got == forbidden_name_by_key(EmbeddedMatroid(space, x)), x
+            named_count[got] += 1
+        assert set(decide._members(r, q).values()) <= set(named_count)
+        # a member on a flat below the span is screened in the flat's own span
+        big = point_space(r + 1, q)
+        for key, name in decide._members(r, q).items():
+            x = big.mask_of(big.index[space.points[i] + (0,)] for i in iter_bits(key[2]))
+            assert _classify_flat(big, x, r) == name
+
+
 def test_forbidden_verdicts_match_pinned_digest():
     """Verdicts and certificates over all colorings of PG(3,2), PG(2,3) hash as pinned."""
     h = hashlib.sha256()
