@@ -78,19 +78,19 @@ def format_key(key: tuple | None) -> str:
 
 # ------------------------------------------------------------ minimal census
 
-def _color(steps, hs: PointSpace, cs: bytearray, n: int, k: int, green: int,
+def _color(steps, cs: bytes, n: int, k: int, green: int,
            gt: list[int], rt: list[int], found: list) -> None:
     """Color point k of steps, then each later one, green or red, depth first.
 
     steps[k] holds the point's bit and its (hyperplane, bit of hs) pairs, hs
     being the PG(r-2, q) every hyperplane re-embeds onto; gt and rt hold the
-    green and red traces on each hyperplane as masks of hs, and cs is the
-    _connected_spanning table over them, 2 meaning not yet filled. A child
-    updates a copy of one side's traces and is cut once a hyperplane of its
-    point has both traces connected and spanning, which they stay as points
-    join (see _descend). found collects [nodes, leaves]: a leaf is a full
-    coloring each side of which has two or more of the n points off every
-    hyperplane, or it would not span or would have a coloop.
+    green and red traces on each hyperplane as masks of hs, and cs is hs's
+    connected_spanning_table. A child updates a copy of one side's traces and
+    is cut once a hyperplane of its point has both traces connected and
+    spanning, which they stay as points join (see _descend). found collects
+    [nodes, leaves]: a leaf is a full coloring each side of which has two or
+    more of the n points off every hyperplane, or it would not span or would
+    have a coloop.
     """
     found[0] += 1
     if k == len(steps):
@@ -106,19 +106,13 @@ def _color(steps, hs: PointSpace, cs: bytearray, n: int, k: int, green: int,
         for h, bit in pairs:
             y = child[h] | bit
             child[h] = y
-            if cs[y] == 2:
-                _connected_spanning(hs, cs, y)
-            if cs[y]:
-                z = other[h]
-                if cs[z] == 2:
-                    _connected_spanning(hs, cs, z)
-                if cs[z]:
-                    break
+            if cs[y] and cs[other[h]]:
+                break
         else:
             if to_green:
-                _color(steps, hs, cs, n, k + 1, green | bit_k, child, rt, found)
+                _color(steps, cs, n, k + 1, green | bit_k, child, rt, found)
             else:
-                _color(steps, hs, cs, n, k + 1, green, gt, child, found)
+                _color(steps, cs, n, k + 1, green, gt, child, found)
 
 
 def _search_minimal(space: PointSpace) -> tuple[list[int], int]:
@@ -134,7 +128,7 @@ def _search_minimal(space: PointSpace) -> tuple[list[int], int]:
     incidence.
     """
     hs = point_space(space.r - 1, space.q)
-    cs = bytearray(b"\x02") * (1 << hs.n)
+    cs = hs.connected_spanning_table()
     h0 = space.flats_of_rank(space.r - 1)[0]
     points_of_h0 = {i: p for p, i in space.flat_embedding(h0)[1].items()}
     incidence = space.hyperplane_incidence
@@ -145,12 +139,11 @@ def _search_minimal(space: PointSpace) -> tuple[list[int], int]:
         if not orbit_of(hs, x, seen):
             continue
         orbit_of(hs, hs.full_mask ^ x, seen)
-        if (_connected_spanning(hs, cs, x)
-                and _connected_spanning(hs, cs, hs.full_mask ^ x)):
+        if cs[x] and cs[hs.full_mask ^ x]:
             continue
         green = space.translate_mask(x, points_of_h0)
         gt, rt = (space.hyperplane_traces(side) for side in (green, h0 ^ green))
-        _color(steps, hs, cs, space.n, 0, green, gt, rt, found)
+        _color(steps, cs, space.n, 0, green, gt, rt, found)
     return found[1], found[0]
 
 
@@ -242,12 +235,6 @@ class ExtensionScan:
         return "\n".join(lines) + "\n"
 
 
-def _connected_spanning(hs: PointSpace, cs: bytearray, x: int) -> bool:
-    """Fill entry x of a table over hs's masks: 1 if x is connected and spans hs."""
-    got = cs[x] = hs.rank_of_mask(x) == hs.r and hs.is_connected_mask(x)
-    return got
-
-
 @lru_cache(maxsize=None)
 def _subtree_size(points: int, budget: int) -> int:
     """Nodes of a search subtree: its root plus each way to add at most budget
@@ -255,18 +242,17 @@ def _subtree_size(points: int, budget: int) -> int:
     return sum(math.comb(points, d) for d in range(budget + 1))
 
 
-def _descend(steps, hs: PointSpace, cs: bytearray, spare: int, start: int,
+def _descend(steps, hs: PointSpace, cs: bytes, spare: int, start: int,
              budget: int, smask: int, idx: list[int], i: int, found: list) -> None:
     """Record extension smask, then those adding up to budget more spare points.
 
     Points are added in increasing order, numbered start or more. idx holds
     smask's green trace on each hyperplane as a mask of hs, the PG(3,2) every
-    hyperplane re-embeds onto, and i its green count; cs is the scan table
-    over hs's masks, 2 marking an entry not yet filled, and every entry of idx
-    is filled. A child ORs its point's bit into the traces of that point's
-    hyperplanes, on its own copy of idx, filling each new trace's entry, and
-    moves i by the change of each entry, so returning leaves the parent's
-    state as it was. found collects [scanned, j_computed, survivors].
+    hyperplane re-embeds onto, and i its green count; cs is hs's
+    connected_spanning_table. A child ORs its point's bit into the traces of
+    that point's hyperplanes, on its own copy of idx, and moves i by the
+    change of each trace's entry, so returning leaves the parent's state as
+    it was. found collects [scanned, j_computed, survivors].
 
     The red side's trace on a hyperplane is the rest of it, hs.full_mask ^ x
     for green trace x, so j is read off the same table. It counts hyperplanes
@@ -294,11 +280,7 @@ def _descend(steps, hs: PointSpace, cs: bytearray, spare: int, start: int,
     full = hs.full_mask
     j = 0
     for x in idx:
-        y = full ^ x
-        got = cs[y]
-        if got == 2:
-            got = _connected_spanning(hs, cs, y)
-        j += got
+        j += cs[full ^ x]
     if i + j < TOTAL_HYPERPLANE_BOUND:
         found[2].append((smask, i, j))
     if budget:
@@ -308,10 +290,7 @@ def _descend(steps, hs: PointSpace, cs: bytearray, spare: int, start: int,
             for h, bit in steps[k]:
                 x = child[h]
                 y = x | bit
-                got = cs[y]
-                if got == 2:
-                    got = _connected_spanning(hs, cs, y)
-                ci += got - cs[x]
+                ci += cs[y] - cs[x]
                 child[h] = y
             _descend(steps, hs, cs, spare, k + 1, budget - 1,
                      smask | (1 << k), child, ci, found)
@@ -327,18 +306,18 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     is read in the one PG(3,2), where each side's trace is a mask: the green
     trace of seed + S is the seed's trace plus S's, and the red trace is the
     rest of the hyperplane. So both counts read one table over PG(3,2)'s
-    masks, a local of this call, whose entry says whether a trace is
-    connected and spans; entries are filled on first read. The seed's traces
-    and each spare point's (hyperplane, bit) pairs come from the space's
-    hyperplane incidence. The extensions are then walked by a depth-first
-    search from the seed that adds spare points in increasing order and
-    updates i point by point; the seed record is the search root's. The
-    table is monotone: a connected spanning trace stays so when a point of
-    its hyperplane joins it, as that point lies in its closure and is no
-    loop. So i never falls along a branch, and a node with i >= 26 stands
-    for its whole subtree: the search adds sum_{d=0}^{b} C(s, d) to scanned,
-    for s spare points after the node's last and a budget of b more points,
-    and does not walk it.
+    masks, its connected_spanning_table, whose entry says whether a trace is
+    connected and spans; it is taken whole from PG(3,2)'s rank and connected
+    tables. The seed's traces and each spare point's (hyperplane, bit) pairs
+    come from the space's hyperplane incidence. The extensions are then
+    walked by a depth-first search from the seed that adds spare points in
+    increasing order and updates i point by point; the seed record is the
+    search root's. The table is monotone: a connected spanning trace stays
+    so when a point of its hyperplane joins it, as that point lies in its
+    closure and is no loop. So i never falls along a branch, and a node with
+    i >= 26 stands for its whole subtree: the search adds
+    sum_{d=0}^{b} C(s, d) to scanned, for s spare points after the node's
+    last and a budget of b more points, and does not walk it.
     Survivors are sorted by size, then by mask.
     jobs is unused; it is kept only because the benchmark still passes it.
     """
@@ -351,10 +330,10 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     if not 0 <= max_extra <= len(ext):
         raise ValueError(f"max_extra {max_extra} outside 0..{len(ext)} spare points")
     hs = point_space(space.r - 1, 2)
-    cs = bytearray(b"\x02") * (1 << hs.n)
+    cs = hs.connected_spanning_table()
     steps = [space.hyperplane_incidence[p] for p in ext]
     idx = space.hyperplane_traces(green0)
-    seed_i = sum(_connected_spanning(hs, cs, x) for x in idx)
+    seed_i = sum(cs[x] for x in idx)
     found = [0, 0, []]
     _descend(steps, hs, cs, len(ext), 0, max_extra, 0, idx, seed_i, found)
     scanned, j_computed, survivors = found

@@ -63,23 +63,23 @@ def _decide_rec(space, green: int) -> tuple[bool, tuple]:
         return got
     if green == 0:
         out = (True, ("empty",))
+    elif not space.is_connected_mask(green):
+        # tested first: a tabled space reads its connected table, so only the
+        # disconnected sets it decides enter _components_memo
+        children = []
+        ok = True
+        for c in space.components_mask(green):
+            good, cert = _decide_rec(*space.spanned(c))
+            children.append((tuple(iter_bits(c)), cert))
+            ok = ok and good
+        out = (ok, ("components", tuple(children)))
     else:
-        comps = space.components_mask(green)
-        if len(comps) > 1:
-            children = []
-            ok = True
-            for c in comps:
-                good, cert = _decide_rec(*space.spanned(c))
-                children.append((tuple(iter_bits(c)), cert))
-                ok = ok and good
-            out = (ok, ("components", tuple(children)))
+        red = space.full_mask ^ green
+        if space.rank_of_mask(red) == space.r and space.is_connected_mask(red):
+            out = (False, ("blocked",))
         else:
-            red = space.full_mask ^ green
-            if space.rank_of_mask(red) == space.r and space.is_connected_mask(red):
-                out = (False, ("blocked",))
-            else:
-                good, cert = _decide_rec(*space.spanned(red))
-                out = (good, ("complement", cert))
+            good, cert = _decide_rec(*space.spanned(red))
+            out = (good, ("complement", cert))
     _rec_memo[key] = out
     return out
 

@@ -11,11 +11,15 @@ and, for the embeddings, labelled by the sums of the two point vectors that
 they are multiples of. A span takes one join per rank, each with the lowest
 point the flat so far misses. Spaces with at most 15 points additionally
 carry full closure/rank lookup tables, which the exhaustive searches and the
-co-spans of components rely on. The hyperplane incidence, read off the
-hyperplanes' embeddings, is kept as (hyperplane, bit) pairs per point, which
-the census and the extension scan walk, and packed into one int per point
-with a field per hyperplane: a mask's traces on every hyperplane are one OR
-per point of the mask, cut into fields.
+co-spans of components rely on, and from their first connectivity test a
+connected table over every mask, read off complementary pairs of flats. The
+hyperplane incidence, read off the hyperplanes' embeddings, is kept as
+(hyperplane, bit) pairs per point, which the census and the extension scan
+walk, and packed into one int per point with a field per hyperplane: a
+mask's traces on every hyperplane are one OR per point of the mask, cut into
+fields. Lazy tables live in attributes set in __init__, never in a
+cached_property, whose write to the instance __dict__ makes CPython 3.11
+drop the fast path of every later attribute load on the instance.
 Coordinates are read only where a line is filled, by the hyperplane
 equations of `flats_of_rank` and by `contraction_map`, which alone uses
 Gaussian elimination.
@@ -24,7 +28,7 @@ Gaussian elimination.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .linalg import Echelon, check_field, normalize, vec_scale
@@ -44,6 +48,11 @@ def iter_bits(mask: int):
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def _submasks(mask: int) -> list[int]:
+    """The nonempty submasks of mask."""
+    return [sum(bits) for bits in itertools.product(*((0, 1 << i) for i in iter_bits(mask)))][1:]
 
 
 class PointSpace:
@@ -68,6 +77,9 @@ class PointSpace:
         self._rank_of_size = {(q**k - 1) // (q - 1): k for k in range(r + 1)}
         self._closure_table: list[int] | None = None
         self._rank_table: bytearray | None = None
+        self._connected_table: bytearray | None = None
+        self._incidence: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._packed_incidence: tuple[int, tuple[int, ...]] | None = None
         self._closure_memo: dict[int, int] = {}
         self._components_memo: dict[int, tuple[int, ...]] = {}
         self._vc_memo: dict[int, int] = {}
@@ -280,7 +292,46 @@ class PointSpace:
         return got
 
     def is_connected_mask(self, mask: int) -> bool:
-        return len(self.components_mask(mask)) <= 1
+        """Whether the restriction to mask is connected; tabled spaces read a table."""
+        if self._rank_table is None:
+            return len(self.components_mask(mask)) <= 1
+        return (self._connected_table or self._build_connected_table())[mask] == 1
+
+    def _build_connected_table(self) -> bytearray:
+        """Per mask, 1 if the restriction to it is connected, else 0.
+
+        Starting from all ones, each complementary pair of flats F1, F2 (skew,
+        ranks k <= r/2 and r - k) zeroes every mask inside F1 ∪ F2 that meets
+        both. These are exactly the disconnected masks. If (A, B) separates X,
+        r(A) + r(B) = r(X) = r(cl A ∨ cl B), so by modularity cl A ∧ cl B is
+        empty: the closures are skew, and growing one by points off their join
+        extends them to a complementary pair. Conversely X ∩ F1 and X ∩ F2 span
+        skew flats, so their ranks add up to r(X) and they separate X.
+        """
+        table = bytearray(b"\x01") * (1 << self.n)
+        r = self.r
+        for k in range(1, r // 2 + 1):
+            uppers = [(f2, _submasks(f2)) for f2 in self.flats_of_rank(r - k)]
+            for f1 in self.flats_of_rank(k):
+                ones = _submasks(f1)
+                for f2, twos in uppers:
+                    # a pair of equal ranks is met twice; take it once
+                    if f1 & f2 or (2 * k == r and f2 < f1):
+                        continue
+                    for s1 in ones:
+                        for s2 in twos:
+                            table[s1 | s2] = 0
+        self._connected_table = table
+        return table
+
+    def connected_spanning_table(self) -> bytes:
+        """Per mask of a tabled space, 1 if the restriction to it is connected and
+        spans the space, else 0: the rank table's spanning entries ANDed with the
+        connected table, whole."""
+        connected = self._connected_table or self._build_connected_table()
+        spans = self._rank_table.translate(bytes(v == self.r for v in range(256)))
+        both = int.from_bytes(spans, "little") & int.from_bytes(connected, "little")
+        return both.to_bytes(len(spans), "little")
 
     # ------------------------------------------------- vertical connectivity
 
@@ -367,7 +418,7 @@ class PointSpace:
         self._embeddings[flat_mask] = got
         return got
 
-    @cached_property
+    @property
     def hyperplane_incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per point, the (h, 1 << image) pairs of the hyperplanes through it.
 
@@ -375,14 +426,15 @@ class PointSpace:
         flat_embedding of hyperplane h, so the bits are points of
         point_space(r - 1, q). Pairs are in increasing h. Built on first use.
         """
-        pairs = [[] for _ in range(self.n)]
-        for h, hmask in enumerate(self.flats_of_rank(self.r - 1)):
-            for p, image in self.flat_embedding(hmask)[1].items():
-                pairs[p].append((h, 1 << image))
-        return tuple(map(tuple, pairs))
+        if self._incidence is None:
+            pairs = [[] for _ in range(self.n)]
+            for h, hmask in enumerate(self.flats_of_rank(self.r - 1)):
+                for p, image in self.flat_embedding(hmask)[1].items():
+                    pairs[p].append((h, 1 << image))
+            self._incidence = tuple(map(tuple, pairs))
+        return self._incidence
 
-    @cached_property
-    def _packed_incidence(self) -> tuple[int, tuple[int, ...]]:
+    def _pack_incidence(self) -> tuple[int, tuple[int, ...]]:
         """(width, packed): per point, the bits of hyperplane_incidence packed
         into one int, with the bit of hyperplane h in field h of `width` bits.
 
@@ -395,14 +447,15 @@ class PointSpace:
         for h, hmask in enumerate(self.flats_of_rank(self.r - 1)):
             for p, image in self.flat_embedding(hmask)[1].items():
                 packed[p] |= 1 << (h * width + image)
-        return width, tuple(packed)
+        self._packed_incidence = width, tuple(packed)
+        return self._packed_incidence
 
     def hyperplane_traces(self, mask: int) -> list[int]:
         """The trace of mask on each hyperplane H, in the order of flats_of_rank(r - 1):
         translate_mask(mask & H, flat_embedding(H)[1]), a mask of point_space(r - 1, q),
-        cut from the OR of the packed ints of mask's points (see _packed_incidence).
+        cut from the OR of the packed ints of mask's points (see _pack_incidence).
         """
-        width, packed = self._packed_incidence
+        width, packed = self._packed_incidence or self._pack_incidence()
         acc = 0
         while mask:
             low = mask & -mask

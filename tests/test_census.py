@@ -267,6 +267,19 @@ def test_connected_spanning_is_monotone():
                     assert good[x | (1 << p)], (space, x, p)
 
 
+def test_scan_fills_no_components_memo(monkeypatch):
+    """The scan takes PG(3,2)'s connected and spanning table whole, connected
+    table build included, so no trace goes through components_mask: filled
+    one trace at a time, the table left 6,570 entries in its memo on m2-1."""
+    hs = point_space(4, 2)
+    monkeypatch.setattr(hs, "_components_memo", {})
+    monkeypatch.setattr(hs, "_connected_table", None)
+    scan = hyperplane_scan(embed(named("m2-1")), 10)
+    assert scan.scanned == 354522
+    assert hs._connected_table is not None
+    assert hs._components_memo == {}
+
+
 def test_pruned_scan_matches_combinations(monkeypatch):
     """scanned, j_computed and the survivors must match a walk over every
     extension. At the default bounds f77's seed is already past the green

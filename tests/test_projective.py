@@ -1,5 +1,6 @@
 """Tests for the projective point spaces, pinned against brute-force oracles."""
 
+import functools
 import random
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comatroid import linalg
+from comatroid.cli import _FILTERS
 from comatroid.errors import ResourceLimitError, UnsupportedFieldError
+from comatroid.matroid import EmbeddedMatroid
 from comatroid.projective import PointSpace, iter_bits, point_space
 
 from oracles import (
@@ -165,6 +168,54 @@ def test_components_line_plus_point():
     off = next(i for i in range(space.n) if not (line >> i) & 1)
     blocks = space.components_mask(line | (1 << off))
     assert sorted(bin(b).count("1") for b in blocks) == [1, 3]
+
+
+# every tabled space, rank 0 and 1 included; fresh spaces, so that components_mask
+# fills no memo of the shared ones
+@pytest.mark.parametrize("r,q", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (0, 3), (1, 3), (2, 3), (3, 3)])
+def test_connected_table_matches_components(r, q):
+    """The table read off complementary flat pairs against components_mask, on
+    every mask: 1 exactly where the restriction has at most one component."""
+    space = PointSpace(r, q)
+    assert space._connected_table is None
+    space.is_connected_mask(0)
+    want = bytes(len(space.components_mask(m)) <= 1 for m in range(1 << space.n))
+    assert space._connected_table == want
+
+
+@pytest.mark.parametrize("r,q", [(4, 2), (3, 3), (3, 2), (2, 3)])
+def test_connected_spanning_table_matches_components(r, q):
+    space = PointSpace(r, q)
+    want = bytes(space.rank_of_mask(m) == r and len(space.components_mask(m)) == 1
+                 for m in range(1 << space.n))
+    assert space.connected_spanning_table() == want
+
+
+def test_point_space_has_no_cached_property():
+    # A cached_property writes straight into the instance __dict__. On CPython
+    # 3.11 the interpreter then builds that dict and drops its specialised path
+    # for every later attribute load on the instance: a rank_of_mask +
+    # closure_mask pair on PG(3,2) went from 180 to 340 ns (2 cores) once
+    # hyperplane_incidence, then a cached_property, had been read.
+    assert not [name for name, attr in vars(PointSpace).items()
+                if isinstance(attr, functools.cached_property)]
+    space = PointSpace(3, 2)
+    names = list(vars(space))
+    space.hyperplane_incidence, space.hyperplane_traces(1), space.is_connected_mask(3)
+    space.connected_spanning_table()
+    assert list(vars(space)) == names
+
+
+def test_is_connected_mask_returns_bool():
+    """A bytearray entry is an int: the tabled path must still hand out a bool,
+    which M.is_connected() and the CLI's connected filter pass on."""
+    for space in (point_space(3, 2), point_space(5, 2)):
+        line = space.flats_of_rank(2)[0]
+        for mask in (0, 1, line, line | (1 << (line ^ space.full_mask).bit_length() - 1)):
+            M = EmbeddedMatroid(space, mask)
+            got = (space.is_connected_mask(mask), M.is_connected(), _FILTERS["connected"](M))
+            assert [type(x) for x in got] == [bool] * 3
+            assert len(set(got)) == 1
 
 
 @settings(max_examples=30, deadline=None)
