@@ -124,15 +124,14 @@ def _search_minimal(space: PointSpace) -> tuple[list[int], int]:
     start whose two traces on H0 are connected and spanning is dropped; the
     traces on any other hyperplane lie in a flat of rank r - 2 and cannot
     span it. _color then colors the other points, reading each point's
-    (hyperplane, bit) pairs and the start's traces from space's hyperplane
-    incidence.
+    (hyperplane, bit) pairs, cut once here by PointSpace.hyperplane_pairs,
+    and the start's traces from space's one packed hyperplane incidence.
     """
     hs = point_space(space.r - 1, space.q)
     cs = hs.connected_spanning_table()
     h0 = space.flats_of_rank(space.r - 1)[0]
     points_of_h0 = {i: p for p, i in space.flat_embedding(h0)[1].items()}
-    incidence = space.hyperplane_incidence
-    steps = [(1 << p, incidence[p]) for p in range(space.n) if not (h0 >> p) & 1]
+    steps = [(1 << p, space.hyperplane_pairs(p)) for p in range(space.n) if not (h0 >> p) & 1]
     seen = bytearray(1 << hs.n)
     found = [0, []]
     for x in range(1 << hs.n):
@@ -309,13 +308,13 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
     masks, its connected_spanning_table, whose entry says whether a trace is
     connected and spans; it is taken whole from PG(3,2)'s rank and connected
     tables. The seed's traces and each spare point's (hyperplane, bit) pairs
-    come from the space's hyperplane incidence. The extensions are then
-    walked by a depth-first search from the seed that adds spare points in
-    increasing order and updates i point by point; the seed record is the
-    search root's. The table is monotone: a connected spanning trace stays
-    so when a point of its hyperplane joins it, as that point lies in its
-    closure and is no loop. So i never falls along a branch, and a node with
-    i >= 26 stands for its whole subtree: the search adds
+    (hyperplane_pairs, cut once) come from the one hyperplane incidence. The
+    extensions are walked by a depth-first search from the seed that adds
+    spare points in increasing order and updates i point by point; the seed
+    record is the search root's. The table is monotone: a connected spanning
+    trace stays so when a point of its hyperplane joins it, as that point
+    lies in its closure and is no loop. So i never falls along a branch, and
+    a node with i >= 26 stands for its whole subtree: the search adds
     sum_{d=0}^{b} C(s, d) to scanned, for s spare points after the node's
     last and a budget of b more points, and does not walk it.
     Survivors are sorted by size, then by mask.
@@ -331,7 +330,7 @@ def hyperplane_scan(seed: EmbeddedMatroid, max_extra: int,
         raise ValueError(f"max_extra {max_extra} outside 0..{len(ext)} spare points")
     hs = point_space(space.r - 1, 2)
     cs = hs.connected_spanning_table()
-    steps = [space.hyperplane_incidence[p] for p in ext]
+    steps = [space.hyperplane_pairs(p) for p in ext]
     idx = space.hyperplane_traces(green0)
     seed_i = sum(cs[x] for x in idx)
     found = [0, 0, []]
@@ -354,6 +353,8 @@ def enumerate_colorings(space: PointSpace, filter, dedup: bool,
                         samples: int | None = None, seed: int = 0) -> CensusReport:
     """Colorings passing a predicate, exhaustively or by seeded sampling."""
     t0 = time.perf_counter()
+    if samples is not None and samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     # both are capped alike: an orbit in PG(4,2) alone can hold ten million masks
     if space.n > TABLE_POINT_CAP and (samples is None or dedup):
         what = "exhaustive enumeration" if samples is None else "deduplication"

@@ -103,7 +103,11 @@ class EmbeddedMatroid:
         return self.space.mask_of(index[name] for name in names)
 
     def _subset_mask(self, S) -> int:
-        m = self.space.mask_of(S)
+        m = 0
+        for i in S:
+            if not 0 <= i < self.space.n:
+                raise ValueError(f"point {i} outside 0..{self.space.n - 1} of {self.space!r}")
+            m |= 1 << i
         if m & ~self.green_mask:
             raise ValueError("subset contains non-green points")
         return m

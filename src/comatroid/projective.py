@@ -12,23 +12,24 @@ they are multiples of. A span takes one join per rank, each with the lowest
 point the flat so far misses. Spaces with at most 15 points additionally
 carry full closure/rank lookup tables, which the exhaustive searches and the
 co-spans of components rely on, and from their first connectivity test a
-connected table over every mask, read off complementary pairs of flats. The
-hyperplane incidence, read off the hyperplanes' embeddings, is kept as
-(hyperplane, bit) pairs per point, which the census and the extension scan
-walk, and packed into one int per point with a field per hyperplane: a
-mask's traces on every hyperplane are one OR per point of the mask, cut into
-fields. Lazy tables live in attributes set in __init__, never in a
-cached_property, whose write to the instance __dict__ makes CPython 3.11
-drop the fast path of every later attribute load on the instance.
-Coordinates are read only where a line is filled, by the hyperplane
-equations of `flats_of_rank` and by `contraction_map`, which alone uses
-Gaussian elimination.
+connected table over every mask, read off complementary pairs of flats.
+Flats up to rank r/2 are joins, and those above meets of dual hyperplanes.
+The one hyperplane incidence packs each point's images under the
+hyperplanes' embeddings into one int, a field per hyperplane: a mask's
+traces are one OR per point of the mask, cut into fields, and a point's
+(hyperplane, bit) pairs are its int's bits. Lazy tables live in attributes
+set in __init__, never in a cached_property, whose write to the instance
+__dict__ makes CPython 3.11 drop the fast path of every later attribute load
+on the instance. Coordinates are read only where a line is filled, by the
+dual hyperplanes' equations (`_dual`) and by `contraction_map`, which
+alone uses Gaussian elimination.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, mul
 
 from .errors import ResourceLimitError
 from .linalg import Echelon, check_field, normalize, vec_scale
@@ -78,7 +79,7 @@ class PointSpace:
         self._closure_table: list[int] | None = None
         self._rank_table: bytearray | None = None
         self._connected_table: bytearray | None = None
-        self._incidence: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._duals: list[int] | None = None
         self._packed_incidence: tuple[int, tuple[int, ...]] | None = None
         self._closure_memo: dict[int, int] = {}
         self._components_memo: dict[int, tuple[int, ...]] = {}
@@ -216,7 +217,15 @@ class PointSpace:
     # ------------------------------------------------------------------ flats
 
     def flats_of_rank(self, k: int) -> tuple[int, ...]:
-        """Masks of all projective flats of rank k, sorted."""
+        """Masks of all projective flats of rank k, sorted.
+
+        Up to rank r/2, flats of rank k - 1 are joined with the points above
+        their highest: a flat is the join of its highest point with any of its
+        hyperplanes missing that point, whose points all lie below it. Above
+        r/2, the duals of the points of each flat of rank r - k are ANDed: the
+        orthogonal complement is a bijection from the flats of rank r - k onto
+        those of rank k, and a span's complement is its points' complements' meet.
+        """
         if not 0 <= k <= self.r:
             return ()
         got = self._flats_by_rank.get(k)
@@ -224,29 +233,26 @@ class PointSpace:
             return got
         if k == 0:
             got = (0,)
-        elif k == self.r:
-            got = (self.full_mask,)
-        elif k == self.r - 1:
-            got = self._hyperplanes_by_duality()
-        else:
+        elif 2 * k <= self.r:
             got = tuple(sorted({
                 self._join(f, p)
                 for f in self.flats_of_rank(k - 1)
-                for p in range(self.n) if not (f >> p) & 1
+                for p in range(f.bit_length(), self.n)
             }))
+        else:
+            got = tuple(sorted(reduce(and_, map(self._dual, iter_bits(g)), self.full_mask)
+                               for g in self.flats_of_rank(self.r - k)))
         self._flats_by_rank[k] = got
         return got
 
-    def _hyperplanes_by_duality(self) -> tuple[int, ...]:
-        q = self.q
-        out = []
-        for phi in self.points:
-            m = 0
-            for i, p in enumerate(self.points):
-                if sum(a * b for a, b in zip(phi, p)) % q == 0:
-                    m |= 1 << i
-            out.append(m)
-        return tuple(sorted(out))
+    def _dual(self, x: int) -> int:
+        """Mask of point x's dual hyperplane, the points p with x . p = 0; all are
+        built on the first call, which the top flat, dual to no point, never makes."""
+        if self._duals is None:
+            pts, q = self.points, self.q
+            self._duals = [self.mask_of(i for i, p in enumerate(pts) if sum(map(mul, v, p)) % q == 0)
+                           for v in pts]
+        return self._duals[x]
 
     # ------------------------------------------------------------- components
 
@@ -418,29 +424,10 @@ class PointSpace:
         self._embeddings[flat_mask] = got
         return got
 
-    @property
-    def hyperplane_incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per point, the (h, 1 << image) pairs of the hyperplanes through it.
-
-        h indexes flats_of_rank(r - 1) and image is the point's index under
-        flat_embedding of hyperplane h, so the bits are points of
-        point_space(r - 1, q). Pairs are in increasing h. Built on first use.
-        """
-        if self._incidence is None:
-            pairs = [[] for _ in range(self.n)]
-            for h, hmask in enumerate(self.flats_of_rank(self.r - 1)):
-                for p, image in self.flat_embedding(hmask)[1].items():
-                    pairs[p].append((h, 1 << image))
-            self._incidence = tuple(map(tuple, pairs))
-        return self._incidence
-
     def _pack_incidence(self) -> tuple[int, tuple[int, ...]]:
-        """(width, packed): per point, the bits of hyperplane_incidence packed
-        into one int, with the bit of hyperplane h in field h of `width` bits.
-
-        Read off the embeddings as hyperplane_incidence is, so that the
-        deciders, which read only traces, never build the pairs.
-        """
+        """(width, packed): the space's one hyperplane incidence. Per point p, one
+        int whose field h of `width` bits, for hyperplane h of flats_of_rank(r - 1)
+        through p, holds the bit of p's image under flat_embedding of h."""
         # a hyperplane has (n - 1) / q points; PG(0, q)'s empty one gets one bit
         width = max(1, (self.n - 1) // self.q)
         packed = [0] * self.n
@@ -449,6 +436,12 @@ class PointSpace:
                 packed[p] |= 1 << (h * width + image)
         self._packed_incidence = width, tuple(packed)
         return self._packed_incidence
+
+    def hyperplane_pairs(self, p: int) -> tuple[tuple[int, int], ...]:
+        """The (h, 1 << image) pairs of the hyperplanes h through point p, in
+        increasing h, cut from p's packed int (see _pack_incidence)."""
+        width, packed = self._packed_incidence or self._pack_incidence()
+        return tuple((b // width, 1 << b % width) for b in iter_bits(packed[p]))
 
     def hyperplane_traces(self, mask: int) -> list[int]:
         """The trace of mask on each hyperplane H, in the order of flats_of_rank(r - 1):

@@ -2,9 +2,13 @@
 
 Everything here recomputes from first principles (coefficient enumeration
 over coordinate vectors, textbook definitions) without touching the library's
-own rank, closure, or connectivity machinery. There are seven exceptions:
+own rank, closure, or connectivity machinery. There are eight exceptions:
 `flat_embedding_by_elimination` is the Gaussian-elimination embedding of a
 flat that `PointSpace.flat_embedding` replaced, kept as its reference;
+`flats_by_joins` builds every level of the flat lattice by the library's
+joins of each flat with every point outside it, the reference for
+`PointSpace.flats_of_rank`, which joins fewer points and reads its upper
+half by duality;
 `violating_flats_ambient` and `match_forbidden_ambient` are the two flat
 deciders' scans with every flat read in the ambient space, the references
 for the scans that read each hyperplane as its trace in PG(r-2, q);
@@ -179,6 +183,16 @@ def flat_embedding_by_elimination(space, flat_mask):
         ech.insert(space.points[i])
     sub = point_space(ech.rank, space.q)
     return sub, {i: sub.index[normalize(ech.coords(space.points[i]), space.q)] for i in members}
+
+
+def flats_by_joins(space):
+    """Per rank k = 0..r, the sorted masks of the flats of rank k: each level is
+    every flat of the level below joined with every point outside it."""
+    levels = [(0,)]
+    for _ in range(space.r):
+        levels.append(tuple(sorted({space._join(f, p) for f in levels[-1]
+                                    for p in range(space.n) if not (f >> p) & 1})))
+    return levels
 
 
 def violating_flats_ambient(space, green):

@@ -404,6 +404,14 @@ def test_enumerate_dedup_and_sampling():
     assert a.classes == b.classes
 
 
+def test_negative_samples_rejected():
+    # a negative count drew no coloring and reported an empty sample as a result
+    with pytest.raises(ValueError, match="samples must be at least 0, got -5"):
+        enumerate_colorings(point_space(3, 2), lambda m: True, dedup=False, samples=-5)
+    assert enumerate_colorings(point_space(3, 2), lambda m: True, dedup=False,
+                               samples=0).scanned == 0
+
+
 def test_dedup_capped_on_large_spaces():
     # an orbit walk in PG(4,2) can visit about ten million masks
     with pytest.raises(ResourceLimitError, match="deduplication capped"):

@@ -74,6 +74,12 @@ def test_restrict_selector_required():
     assert run("restrict", "--members", "0,1", "--labels", "s1,s2", "catalog:W3") == 2
 
 
+def test_restrict_members_outside_space(capsys):
+    for member in ("-1", "7"):
+        assert run("restrict", "--members", f"0,{member}", "catalog:F7") == 2
+        assert f"point {member} outside 0..6 of PG(2,2)" in capsys.readouterr().err
+
+
 def test_restrict_by_labels(capsys):
     assert run("restrict", "--labels", "f,g,h,i,j", "catalog:T12/e",
                "--style", "pg") == 0
@@ -130,6 +136,13 @@ def test_census_colorings_sampling_is_seeded(capsys):
     assert capsys.readouterr().out == first
     assert run(*args[:-1], "10") == 0
     assert capsys.readouterr().out != first
+
+
+def test_census_colorings_negative_samples(capsys):
+    assert run("census", "colorings", "-r", "3", "-q", "2", "--samples", "-5") == 2
+    captured = capsys.readouterr()
+    assert "samples must be at least 0" in captured.err
+    assert captured.out == ""
 
 
 def test_census_scan_matches_library(capsys):

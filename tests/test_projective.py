@@ -19,6 +19,7 @@ from oracles import (
     brute_span_members,
     brute_vertical_connectivity,
     flat_embedding_by_elimination,
+    flats_by_joins,
 )
 
 
@@ -136,6 +137,17 @@ def test_flat_counts_match_gaussian_binomials(r, q):
             assert space.rank_of_mask(m) == k
 
 
+@pytest.mark.parametrize("r,q", [(r, 2) for r in range(7)] + [(r, 3) for r in range(6)])
+def test_flats_of_rank_match_join_oracle(r, q):
+    # fresh spaces, top level first, so that both halves build their levels cold
+    levels = flats_by_joins(PointSpace(r, q))
+    space = PointSpace(r, q)
+    # the top flat is dual to the empty flat, so it builds no dual hyperplanes
+    assert space.flats_of_rank(r) == levels[r] and space._duals is None
+    for k in range(r - 1, -1, -1):
+        assert space.flats_of_rank(k) == levels[k]
+
+
 def test_flats_of_pg32_total():
     space = point_space(3, 2)
     total = sum(len(space.flats_of_rank(k)) for k in range(4))
@@ -201,8 +213,10 @@ def test_point_space_has_no_cached_property():
                 if isinstance(attr, functools.cached_property)]
     space = PointSpace(3, 2)
     names = list(vars(space))
-    space.hyperplane_incidence, space.hyperplane_traces(1), space.is_connected_mask(3)
+    space.hyperplane_pairs(0), space.hyperplane_traces(1), space.is_connected_mask(3)
     space.connected_spanning_table()
+    # the hyperplanes are the first level above rank r/2, ANDed from the dual list
+    assert space._duals is not None
     assert list(vars(space)) == names
 
 
@@ -297,10 +311,15 @@ def test_flat_embedding_rejects_non_flats(r, q):
 def test_hyperplane_traces_match_embeddings(r, q):
     space = point_space(r, q)
     hyperplanes = space.flats_of_rank(r - 1)
+    want = [[] for _ in range(space.n)]
+    for h, hmask in enumerate(hyperplanes):
+        for p, image in space.flat_embedding(hmask)[1].items():
+            want[p].append((h, 1 << image))
     on_each = (q ** (r - 1) - 1) // (q - 1)
-    for pairs in space.hyperplane_incidence:
+    for p in range(space.n):
+        pairs = space.hyperplane_pairs(p)
         assert len(pairs) == on_each
-        assert [h for h, _ in pairs] == sorted({h for h, _ in pairs})
+        assert pairs == tuple(want[p])
     rng = random.Random(r * 10 + q)
     for m in [0, space.full_mask] + [rng.getrandbits(space.n) for _ in range(20)]:
         traces = space.hyperplane_traces(m)
