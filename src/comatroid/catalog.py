@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
@@ -196,15 +195,6 @@ def four_hyperplane_family(n: int) -> MatrixPresentation:
     return parallel_connection(out, f"x{n}y{n}", n2, "a2b2")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A named construction: what to build and where it comes from."""
-
-    name: str
-    builder: Callable[[], MatrixPresentation]
-    provenance: str
-
-
 def _figure(fname: str) -> MatrixPresentation:
     text = resources.files("comatroid").joinpath(
         f"data/figures/{fname}.mat").read_text(encoding="utf-8")
@@ -248,59 +238,47 @@ def _uniform(m: int, n: int) -> MatrixPresentation:
     raise CatalogError(f"U({m},{n}) has no simple GF(2) or GF(3) presentation here")
 
 
+# bundled data files figures/<file>.mat
 _FIGURES = {
-    "Delta5": ("delta5", "rank-5 triangular Mobius matroid, reduced form"),
-    "T12/e": ("t12e", "contraction of the 12-element sporadic matroid"),
-    "M5,12a": ("m5_12a", "first 12-element rank-5 sporadic matroid"),
-    "M5,12b": ("m5_12b", "second 12-element rank-5 sporadic matroid"),
-    "M5,13": ("m5_13", "13-element rank-5 sporadic matroid"),
-    "K33": ("k33", "cycle matroid of K(3,3) from its incidence matrix"),
-    "m2-1": ("m2_1", "first scan seed extending the K(3,3) incidence matrix"),
-    "m2-2": ("m2_2", "second scan seed extending the K(3,3) incidence matrix"),
-    "extra-1": ("extra_1", "third scan seed extending the K(3,3) incidence matrix"),
-    "extra-2": ("extra_2", "fourth scan seed extending the K(3,3) incidence matrix"),
-    "f77": ("f77", "13-element extension of the K(3,3) incidence matrix"),
+    "Delta5": "delta5",  # rank-5 triangular Mobius matroid, reduced form
+    "T12/e": "t12e",  # contraction of the 12-element sporadic matroid
+    "M5,12a": "m5_12a",  # first 12-element rank-5 sporadic matroid
+    "M5,12b": "m5_12b",  # second 12-element rank-5 sporadic matroid
+    "M5,13": "m5_13",  # 13-element rank-5 sporadic matroid
+    "K33": "k33",  # cycle matroid of K(3,3) from its incidence matrix
+    "m2-1": "m2_1",  # first scan seed extending the K(3,3) incidence matrix
+    "m2-2": "m2_2",  # second scan seed extending the K(3,3) incidence matrix
+    "extra-1": "extra_1",  # third scan seed extending the K(3,3) incidence matrix
+    "extra-2": "extra_2",  # fourth scan seed extending the K(3,3) incidence matrix
+    "f77": "f77",  # 13-element extension of the K(3,3) incidence matrix
 }
 
 _K4_EDGES = tuple(itertools.combinations((1, 2, 3, 4), 2))
 
-
-def _fixed_entries():
-    entries = [
-        CatalogEntry(name, (lambda f=fname: _figure(f)),
-                     f"bundled data file figures/{fname}.mat: {note}")
-        for name, (fname, note) in _FIGURES.items()
-    ]
-    entries += [
-        CatalogEntry("F7", lambda: _projective_columns(3, 2),
-                     "the Fano plane, all seven nonzero GF(2)^3 columns"),
-        CatalogEntry("M(K4)", lambda: graph_cycle_matroid(_K4_EDGES, 3),
-                     "cycle matroid of K4 over GF(3), signed incidence"),
-        CatalogEntry("W3", _whirl3,
-                     "rank-3 whirl: three spokes and an independent rim"),
-        CatalogEntry("AG(2,3)\\e", _ag23_minus_point,
-                     "ternary affine plane minus one point"),
-        CatalogEntry("P(U34,U34)", lambda: parallel_connection(
-            circuit(4, 2), 0, circuit(4, 2), 0),
-            "parallel connection of two binary 4-circuits"),
-        CatalogEntry("P(U23,U23)", lambda: parallel_connection(
-            circuit(3, 3), 0, circuit(3, 3), 0),
-            "parallel connection of two ternary triangles"),
-        CatalogEntry("P(U24,U23)", lambda: parallel_connection(
-            _u24(), 0, circuit(3, 3), 0),
-            "parallel connection of U(2,4) and a triangle"),
-        CatalogEntry("U24+2U23", lambda: two_sum(_u24(), 0, circuit(3, 3), 0),
-                     "two-sum of U(2,4) and a triangle"),
-        CatalogEntry("R6", lambda: two_sum(_u24(), 0, _u24(), 0),
-                     "two-sum of two copies of U(2,4)"),
-        CatalogEntry("P(F7,U23)", lambda: parallel_connection(
-            _projective_columns(3, 2), 0, circuit(3, 2), 0),
-            "parallel connection of the Fano plane and a binary triangle"),
-    ]
-    return {e.name: e for e in entries}
-
-
-REGISTRY = _fixed_entries()
+# name -> builder of each fixed catalog entry
+REGISTRY: dict[str, Callable[[], MatrixPresentation]] = {
+    **{name: (lambda f=fname: _figure(f)) for name, fname in _FIGURES.items()},
+    # the Fano plane, all seven nonzero GF(2)^3 columns
+    "F7": lambda: _projective_columns(3, 2),
+    # cycle matroid of K4 over GF(3), signed incidence
+    "M(K4)": lambda: graph_cycle_matroid(_K4_EDGES, 3),
+    # rank-3 whirl: three spokes and an independent rim
+    "W3": _whirl3,
+    # ternary affine plane minus one point
+    "AG(2,3)\\e": _ag23_minus_point,
+    # parallel connection of two binary 4-circuits
+    "P(U34,U34)": lambda: parallel_connection(circuit(4, 2), 0, circuit(4, 2), 0),
+    # parallel connection of two ternary triangles
+    "P(U23,U23)": lambda: parallel_connection(circuit(3, 3), 0, circuit(3, 3), 0),
+    # parallel connection of U(2,4) and a triangle
+    "P(U24,U23)": lambda: parallel_connection(_u24(), 0, circuit(3, 3), 0),
+    # two-sum of U(2,4) and a triangle
+    "U24+2U23": lambda: two_sum(_u24(), 0, circuit(3, 3), 0),
+    # two-sum of two copies of U(2,4)
+    "R6": lambda: two_sum(_u24(), 0, _u24(), 0),
+    # parallel connection of the Fano plane and a binary triangle
+    "P(F7,U23)": lambda: parallel_connection(_projective_columns(3, 2), 0, circuit(3, 2), 0),
+}
 
 _ALIASES = {
     "M(K3,3)": "K33",
@@ -371,7 +349,7 @@ def named(name: str) -> MatrixPresentation:
     """Build a catalog matroid by name; patterns like PG(3,2) are accepted."""
     key = _ALIASES.get(name, name)
     if key in REGISTRY:
-        return REGISTRY[key].builder()
+        return REGISTRY[key]()
     for pattern, build in _PATTERNS:
         m = pattern.match(key)
         if m:

@@ -16,7 +16,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .formats import dumps, load_file
-from .matroid import EmbeddedMatroid, embed
+from .matroid import BRUTE_FORCE_CAP, EmbeddedMatroid, embed
 from .projective import iter_bits, point_space
 from .verification import criterion_names, run_all
 
@@ -198,7 +198,7 @@ def _cmd_info(args, out) -> int:
     if M.n:
         rows.append(("min-cocircuit", M.cocircuits_min_size()))
         rows.append(("connected-hyperplanes", len(M.connected_hyperplanes())))
-    if 0 < M.n <= 16:
+    if 0 < M.n <= BRUTE_FORCE_CAP:
         rows.append(("vertical-connectivity", M.vertical_connectivity()))
     print("field\tvalue", file=out)
     for field, value in rows:

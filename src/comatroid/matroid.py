@@ -15,7 +15,9 @@ from .errors import ResourceLimitError, SimplicityError
 from .linalg import Echelon, check_field, normalize
 from .projective import PointSpace, iter_bits, point_space, popcount
 
-BRUTE_FORCE_CAP = 24
+# Most elements whose vertical connectivity is found by trying every partition:
+# on PG(4,2), 18 elements take about 1.3 s and leave 136k closures memoised.
+BRUTE_FORCE_CAP = 16
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,19 @@ flat. The lines are read from per-point rows that are filled one line at a
 time as joins need them; an entry holds the line's other points as a mask
 and, for the embeddings, labelled by the sums of the two point vectors that
 they are multiples of. A span takes one join per rank, each with the lowest
-point the flat so far misses. Spaces with at most 15 points additionally
-carry full closure/rank lookup tables, which the exhaustive searches and the
-co-spans of components rely on, and from their first connectivity test a
-connected table over every mask, read off complementary pairs of flats.
-Flats up to rank r/2 are joins, and those above meets of dual hyperplanes.
+point the flat so far misses. Flats up to rank r/2 are joins, and those
+above meets of dual hyperplanes. Spaces with at most 15 points additionally
+carry closure, rank and connected tables over every mask, all read off their
+flats when the space is built; the exhaustive searches and the co-spans of
+components rely on them.
 The one hyperplane incidence packs each point's images under the
 hyperplanes' embeddings into one int, a field per hyperplane: a mask's
 traces are one OR per point of the mask, cut into fields, and a point's
 (hyperplane, bit) pairs are its int's bits. Lazy tables live in attributes
 set in __init__, never in a cached_property, whose write to the instance
 __dict__ makes CPython 3.11 drop the fast path of every later attribute load
-on the instance. Coordinates are read only where a line is filled, by the
-dual hyperplanes' equations (`_dual`) and by `contraction_map`, which
-alone uses Gaussian elimination.
+on the instance. Coordinates are read only where a line is filled and by
+the dual hyperplanes' equations (`_dual`); no step eliminates.
 """
 
 from __future__ import annotations
@@ -32,11 +31,11 @@ from functools import lru_cache, reduce
 from operator import and_, mul
 
 from .errors import ResourceLimitError
-from .linalg import Echelon, check_field, normalize, vec_scale
+from .linalg import check_field, vec_scale
 
 MAX_SPACE_RANK = 8
-# Largest space that carries closure and rank tables, and whose colorings
-# are enumerated or tabled whole.
+# Largest space that carries closure, rank and connected tables, and whose
+# colorings are enumerated or tabled whole.
 TABLE_POINT_CAP = 15
 
 
@@ -61,7 +60,9 @@ class PointSpace:
 
     def __init__(self, r: int, q: int):
         check_field(q)
-        if not 0 <= r <= MAX_SPACE_RANK:
+        if r < 0:
+            raise ValueError(f"projective rank must be nonnegative, got {r}")
+        if r > MAX_SPACE_RANK:
             raise ResourceLimitError(f"projective rank {r} outside supported range 0..{MAX_SPACE_RANK}")
         self.r = r
         self.q = q
@@ -86,7 +87,6 @@ class PointSpace:
         self._vc_memo: dict[int, int] = {}
         self._flats_by_rank: dict[int, tuple[int, ...]] = {}
         self._embeddings: dict[int, tuple["PointSpace", dict[int, int]]] = {}
-        self._contractions: dict[int, tuple["PointSpace", list[int | None]]] = {}
         self._lines: list[list[int] | None] = [None] * self.n
         self._sums: list[list[tuple[tuple[int, int], ...] | None] | None] = [None] * self.n
         if self.n <= TABLE_POINT_CAP:
@@ -178,19 +178,46 @@ class PointSpace:
     # ----------------------------------------------------------------- tables
 
     def _build_tables(self):
-        n = self.n
-        cl = [0] * (1 << n)
-        rk = bytearray(1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            x = low.bit_length() - 1
-            c = cl[mask ^ low]
-            if not (c >> x) & 1:
-                c = self._join(c, x)
-            cl[mask] = c
-            rk[mask] = self._rank_of_size[popcount(c)]
+        """Closure, rank and connected tables over every mask, read off the flats.
+
+        Each flat of rank r - 1 down to 1 is written, with its rank, over its
+        submasks, so a mask ends holding the last flat written over it, its
+        least flat: its closure. Masks in no proper flat keep the whole space.
+
+        The connected table starts at all ones, and each complementary pair of
+        flats F1, F2 (skew, ranks k <= r/2 and r - k) zeroes every mask inside
+        F1 ∪ F2 that meets both. These are exactly the disconnected masks. If
+        (A, B) separates X, r(A) + r(B) = r(X) = r(cl A ∨ cl B), so by
+        modularity cl A ∧ cl B is empty: the closures are skew, and growing one
+        by points off their join extends them to a complementary pair.
+        Conversely X ∩ F1 and X ∩ F2 span skew flats, so their ranks add up to
+        r(X) and they separate X.
+        """
+        r, size = self.r, 1 << self.n
+        cl = [self.full_mask] * size
+        rk = bytearray([r]) * size
+        subs = {}
+        for k in range(r - 1, 0, -1):
+            for f in self.flats_of_rank(k):
+                subs[f] = _submasks(f)
+                for s in subs[f]:
+                    cl[s] = f
+                    rk[s] = k
+        cl[0] = rk[0] = 0
+        connected = bytearray(b"\x01") * size
+        for k in range(1, r // 2 + 1):
+            uppers = self.flats_of_rank(r - k)
+            for f1 in self.flats_of_rank(k):
+                for f2 in uppers:
+                    # a pair of equal ranks is met twice; take it once
+                    if f1 & f2 or (2 * k == r and f2 < f1):
+                        continue
+                    for s1 in subs[f1]:
+                        for s2 in subs[f2]:
+                            connected[s1 | s2] = 0
         self._closure_table = cl
         self._rank_table = rk
+        self._connected_table = connected
 
     # ------------------------------------------------------------ rank/closure
 
@@ -299,44 +326,16 @@ class PointSpace:
 
     def is_connected_mask(self, mask: int) -> bool:
         """Whether the restriction to mask is connected; tabled spaces read a table."""
-        if self._rank_table is None:
+        if self._connected_table is None:
             return len(self.components_mask(mask)) <= 1
-        return (self._connected_table or self._build_connected_table())[mask] == 1
-
-    def _build_connected_table(self) -> bytearray:
-        """Per mask, 1 if the restriction to it is connected, else 0.
-
-        Starting from all ones, each complementary pair of flats F1, F2 (skew,
-        ranks k <= r/2 and r - k) zeroes every mask inside F1 ∪ F2 that meets
-        both. These are exactly the disconnected masks. If (A, B) separates X,
-        r(A) + r(B) = r(X) = r(cl A ∨ cl B), so by modularity cl A ∧ cl B is
-        empty: the closures are skew, and growing one by points off their join
-        extends them to a complementary pair. Conversely X ∩ F1 and X ∩ F2 span
-        skew flats, so their ranks add up to r(X) and they separate X.
-        """
-        table = bytearray(b"\x01") * (1 << self.n)
-        r = self.r
-        for k in range(1, r // 2 + 1):
-            uppers = [(f2, _submasks(f2)) for f2 in self.flats_of_rank(r - k)]
-            for f1 in self.flats_of_rank(k):
-                ones = _submasks(f1)
-                for f2, twos in uppers:
-                    # a pair of equal ranks is met twice; take it once
-                    if f1 & f2 or (2 * k == r and f2 < f1):
-                        continue
-                    for s1 in ones:
-                        for s2 in twos:
-                            table[s1 | s2] = 0
-        self._connected_table = table
-        return table
+        return self._connected_table[mask] == 1
 
     def connected_spanning_table(self) -> bytes:
         """Per mask of a tabled space, 1 if the restriction to it is connected and
         spans the space, else 0: the rank table's spanning entries ANDed with the
         connected table, whole."""
-        connected = self._connected_table or self._build_connected_table()
         spans = self._rank_table.translate(bytes(v == self.r for v in range(256)))
-        both = int.from_bytes(spans, "little") & int.from_bytes(connected, "little")
+        both = int.from_bytes(spans, "little") & int.from_bytes(self._connected_table, "little")
         return both.to_bytes(len(spans), "little")
 
     # ------------------------------------------------- vertical connectivity
@@ -478,27 +477,25 @@ class PointSpace:
     def contraction_map(self, e: int) -> tuple["PointSpace", list[int | None]]:
         """Projection of the whole space along point e onto PG(r-2, q).
 
-        Coordinates are taken in a basis with e last; dropping the final
-        coordinate realizes contraction of e for spanning restrictions.
+        The greedy basis grown from e (each next point the lowest outside the
+        span so far) spans, without e, a hyperplane H missing e. Each point
+        p != e goes to the image under flat_embedding(H) of the point where
+        the line through e and p meets H, which is p itself when p lies in H.
+        The embedding's greedy basis of H is that basis without e, so the
+        image drops p's coordinate on e: for spanning restrictions it realizes
+        contraction of e.
         """
-        got = self._contractions.get(e)
-        if got is not None:
-            return got
-        sub = point_space(self.r - 1, self.q)
-        ech = Echelon(self.q)
-        for i in [e, *range(self.n)]:
-            ech.insert(self.points[i])
-        # coords in basis order with e first; the image drops the e-coordinate
-        mapping: list[int | None] = []
-        for i in range(self.n):
-            if i == e:
-                mapping.append(None)
-                continue
-            c = ech.coords(self.points[i])
-            mapping.append(sub.index[normalize(c[1:], self.q)])
-        got = (sub, mapping)
-        self._contractions[e] = got
-        return got
+        flat, basis = 1 << e, 0
+        while flat != self.full_mask:
+            rest = self.full_mask & ~flat
+            x = (rest & -rest).bit_length() - 1
+            basis |= 1 << x
+            flat = self._join(flat, x)
+        hyperplane = self._span(basis)
+        sub, embedding = self.flat_embedding(hyperplane)
+        # the line is joined from p's side, so only row e of `_lines` is filled
+        return sub, [None if p == e else embedding[(self._join(1 << p, e) & hyperplane).bit_length() - 1]
+                     for p in range(self.n)]
 
 
 @lru_cache(maxsize=None)

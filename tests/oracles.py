@@ -2,9 +2,12 @@
 
 Everything here recomputes from first principles (coefficient enumeration
 over coordinate vectors, textbook definitions) without touching the library's
-own rank, closure, or connectivity machinery. There are eight exceptions:
-`flat_embedding_by_elimination` is the Gaussian-elimination embedding of a
-flat that `PointSpace.flat_embedding` replaced, kept as its reference;
+own rank, closure, or connectivity machinery. There are ten exceptions:
+`flat_embedding_by_elimination` and `contraction_map_by_elimination` are the
+Gaussian-elimination embedding of a flat and projection along a point that
+`PointSpace.flat_embedding` and `PointSpace.contraction_map` replaced, kept
+as their references; `tables_by_joins` builds the closure and rank tables
+by a join per mask, the reference for the tables read off the flats;
 `flats_by_joins` builds every level of the flat lattice by the library's
 joins of each flat with every point outside it, the reference for
 `PointSpace.flats_of_rank`, which joins fewer points and reads its upper
@@ -183,6 +186,37 @@ def flat_embedding_by_elimination(space, flat_mask):
         ech.insert(space.points[i])
     sub = point_space(ech.rank, space.q)
     return sub, {i: sub.index[normalize(ech.coords(space.points[i]), space.q)] for i in members}
+
+
+def contraction_map_by_elimination(space, e):
+    """The (sub, mapping) of space.contraction_map(e), by Gaussian elimination.
+
+    Point e and then every point in index order go into an echelon basis, so its
+    basis is the greedy one grown from e; each point p != e maps to its
+    normalized coordinates on that basis with the coordinate on e dropped.
+    """
+    sub = point_space(space.r - 1, space.q)
+    ech = Echelon(space.q)
+    for i in [e, *range(space.n)]:
+        ech.insert(space.points[i])
+    return sub, [None if i == e else sub.index[normalize(ech.coords(space.points[i])[1:], space.q)]
+                 for i in range(space.n)]
+
+
+def tables_by_joins(space):
+    """(closure, rank) per mask of space, each mask's closure the join of its
+    lowest point with the closure of the rest."""
+    cl = [0] * (1 << space.n)
+    rk = bytearray(1 << space.n)
+    for mask in range(1, 1 << space.n):
+        low = mask & -mask
+        x = low.bit_length() - 1
+        c = cl[mask ^ low]
+        if not (c >> x) & 1:
+            c = space._join(c, x)
+        cl[mask] = c
+        rk[mask] = space._rank_of_size[popcount(c)]
+    return cl, rk
 
 
 def flats_by_joins(space):

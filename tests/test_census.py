@@ -22,7 +22,7 @@ from comatroid.decide import (
 )
 from comatroid.errors import ResourceLimitError
 from comatroid.matroid import EmbeddedMatroid, embed
-from comatroid.projective import iter_bits, point_space
+from comatroid.projective import PointSpace, iter_bits, point_space
 
 from oracles import (
     CENSUS_TSV_SHA256,
@@ -268,15 +268,15 @@ def test_connected_spanning_is_monotone():
 
 
 def test_scan_fills_no_components_memo(monkeypatch):
-    """The scan takes PG(3,2)'s connected and spanning table whole, connected
-    table build included, so no trace goes through components_mask: filled
-    one trace at a time, the table left 6,570 entries in its memo on m2-1."""
+    """The scan takes PG(3,2)'s connected and spanning table whole, and the
+    space's build reads its connected table off the flats, so no trace goes
+    through components_mask: filled one trace at a time, the table left 6,570
+    entries in its memo on m2-1."""
+    assert PointSpace(4, 2)._components_memo == {}
     hs = point_space(4, 2)
     monkeypatch.setattr(hs, "_components_memo", {})
-    monkeypatch.setattr(hs, "_connected_table", None)
     scan = hyperplane_scan(embed(named("m2-1")), 10)
     assert scan.scanned == 354522
-    assert hs._connected_table is not None
     assert hs._components_memo == {}
 
 

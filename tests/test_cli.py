@@ -13,7 +13,8 @@ from comatroid.decide import (
     verify_certificate,
 )
 from comatroid.formats import dumps, loads
-from comatroid.matroid import MatrixPresentation, embed
+from comatroid.matroid import BRUTE_FORCE_CAP, EmbeddedMatroid, MatrixPresentation, embed
+from comatroid.projective import point_space
 
 
 def run(*argv):
@@ -145,6 +146,14 @@ def test_census_colorings_negative_samples(capsys):
     assert captured.out == ""
 
 
+def test_census_colorings_negative_rank(capsys):
+    # a negative rank is a usage error (exit 2), not a resource cap (exit 3)
+    assert run("census", "colorings", "-r", "-1", "-q", "2") == 2
+    captured = capsys.readouterr()
+    assert "nonnegative" in captured.err
+    assert captured.out == ""
+
+
 def test_census_scan_matches_library(capsys):
     assert run("census", "scan", "--max-extra", "1", "catalog:extra-1") == 0
     out = capsys.readouterr().out
@@ -176,6 +185,18 @@ def test_info_fields(capsys):
     rows = dict(line.split("\t") for line in capsys.readouterr().out.splitlines()[1:])
     assert rows["q"] == "2" and rows["points"] == "9" and rows["rank"] == "5"
     assert rows["connected"] == "yes" and rows["connected-hyperplanes"] == "6"
+
+
+def test_info_vertical_connectivity_cap(tmp_path, capsys):
+    # info prints the row up to the library's cap and omits it above
+    assert BRUTE_FORCE_CAP == 16
+    for n, shown in ((16, True), (17, False)):
+        target = tmp_path / f"first{n}.mat"
+        target.write_text(dumps(EmbeddedMatroid(point_space(5, 2), (1 << n) - 1), "pg"))
+        assert run("info", str(target)) == 0
+        rows = dict(line.split("\t") for line in capsys.readouterr().out.splitlines()[1:])
+        assert rows["points"] == str(n)
+        assert ("vertical-connectivity" in rows) is shown
 
 
 def test_hyperplanes_listing_sorted(capsys):

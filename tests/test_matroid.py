@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comatroid.errors import SimplicityError
-from comatroid.matroid import EmbeddedMatroid, MatrixPresentation, embed
+from comatroid.errors import ResourceLimitError, SimplicityError
+from comatroid.matroid import BRUTE_FORCE_CAP, EmbeddedMatroid, MatrixPresentation, embed
 from comatroid.projective import point_space, popcount
 
 from oracles import (
@@ -120,6 +120,13 @@ def test_vertical_connectivity_exceptional_pair():
     r = EmbeddedMatroid(space, g.red_mask)
     assert g.vertical_connectivity() + r.vertical_connectivity() == 2
     assert full_geometry(3, 2).vertical_connectivity() == 3
+
+
+def test_vertical_connectivity_cap():
+    space = point_space(5, 2)
+    assert EmbeddedMatroid(space, (1 << BRUTE_FORCE_CAP) - 1).vertical_connectivity() >= 1
+    with pytest.raises(ResourceLimitError, match="capped at 16 elements, got 17"):
+        EmbeddedMatroid(space, (1 << 17) - 1).vertical_connectivity()
 
 
 def test_cocircuits_min_size_examples():

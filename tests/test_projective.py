@@ -11,15 +11,17 @@ from comatroid import linalg
 from comatroid.cli import _FILTERS
 from comatroid.errors import ResourceLimitError, UnsupportedFieldError
 from comatroid.matroid import EmbeddedMatroid
-from comatroid.projective import PointSpace, iter_bits, point_space
+from comatroid.projective import TABLE_POINT_CAP, PointSpace, iter_bits, point_space
 
 from oracles import (
     brute_components,
     brute_rank,
     brute_span_members,
     brute_vertical_connectivity,
+    contraction_map_by_elimination,
     flat_embedding_by_elimination,
     flats_by_joins,
+    tables_by_joins,
 )
 
 
@@ -54,6 +56,9 @@ def test_space_limits():
         point_space(9, 2)
     with pytest.raises(UnsupportedFieldError):
         point_space(3, 5)
+    # a negative rank is bad input, not a cap
+    with pytest.raises(ValueError, match="nonnegative"):
+        PointSpace(-1, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,11 +144,14 @@ def test_flat_counts_match_gaussian_binomials(r, q):
 
 @pytest.mark.parametrize("r,q", [(r, 2) for r in range(7)] + [(r, 3) for r in range(6)])
 def test_flats_of_rank_match_join_oracle(r, q):
-    # fresh spaces, top level first, so that both halves build their levels cold
+    # fresh spaces, top level first, so that both halves of an untabled space
+    # build their levels cold; a tabled one has read every level for its tables
     levels = flats_by_joins(PointSpace(r, q))
     space = PointSpace(r, q)
+    assert space.flats_of_rank(r) == levels[r]
     # the top flat is dual to the empty flat, so it builds no dual hyperplanes
-    assert space.flats_of_rank(r) == levels[r] and space._duals is None
+    if space.n > TABLE_POINT_CAP:
+        assert space._duals is None
     for k in range(r - 1, -1, -1):
         assert space.flats_of_rank(k) == levels[k]
 
@@ -189,10 +197,19 @@ def test_connected_table_matches_components(r, q):
     """The table read off complementary flat pairs against components_mask, on
     every mask: 1 exactly where the restriction has at most one component."""
     space = PointSpace(r, q)
-    assert space._connected_table is None
-    space.is_connected_mask(0)
     want = bytes(len(space.components_mask(m)) <= 1 for m in range(1 << space.n))
     assert space._connected_table == want
+
+
+@pytest.mark.parametrize("r,q", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (0, 3), (1, 3), (2, 3), (3, 3)])
+def test_tables_match_join_oracle(r, q):
+    """The closure and rank tables read off the flats against a join per mask,
+    on every mask of every tabled space."""
+    space = PointSpace(r, q)
+    assert space.n <= TABLE_POINT_CAP
+    cl, rk = tables_by_joins(space)
+    assert space._closure_table == cl
+    assert space._rank_table == rk
 
 
 @pytest.mark.parametrize("r,q", [(4, 2), (3, 3), (3, 2), (2, 3)])
@@ -268,8 +285,10 @@ def test_flat_embedding_preserves_rank():
 
 def test_flat_embedding_matches_elimination(monkeypatch):
     # every flat of PG(r-1, 2), r <= 6, and of PG(r-1, 3), r <= 5; over GF(3)
-    # the flats of rank 3 and more need the scalars the walk tracks
+    # the flats of rank 3 and more need the scalars the walk tracks; and the
+    # contraction map of every point of the same spaces, built from embeddings
     cases = {}
+    contractions = {}
     for q, top in [(2, 6), (3, 5)]:
         for r in range(1, top + 1):
             space = point_space(r, q)
@@ -277,10 +296,13 @@ def test_flat_embedding_matches_elimination(monkeypatch):
             cases[r, q] = [(f, flat_embedding_by_elimination(space, f)) for f in flats]
             for fmask, want in cases[r, q]:
                 assert space.flat_embedding(fmask) == want
+            contractions[r, q] = [contraction_map_by_elimination(space, e) for e in range(space.n)]
+            assert [space.contraction_map(e) for e in range(space.n)] == contractions[r, q]
     assert sum(map(len, cases.values())) == 6201
+    assert sum(map(len, contractions.values())) == 299
 
     def no_elimination(self, vec):
-        raise AssertionError("flat_embedding ran Gaussian elimination")
+        raise AssertionError("the geometry ran Gaussian elimination")
 
     # fresh spaces, so that no memo or filled row comes from the shared ones
     monkeypatch.setattr(linalg.Echelon, "insert", no_elimination)
@@ -288,6 +310,11 @@ def test_flat_embedding_matches_elimination(monkeypatch):
         space = PointSpace(r, q)
         for fmask, (want_sub, want_map) in pairs:
             sub, mapping = space.flat_embedding(fmask)
+            assert sub is want_sub
+            assert mapping == want_map
+        space = PointSpace(r, q)
+        for e, (want_sub, want_map) in enumerate(contractions[r, q]):
+            sub, mapping = space.contraction_map(e)
             assert sub is want_sub
             assert mapping == want_map
 
