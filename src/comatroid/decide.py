@@ -10,10 +10,11 @@ The deciders and the replay take an EmbeddedMatroid at the door and work on
 (space, green) pairs inside: green is a mask spanning space, a complement is
 space.full_mask ^ green, and a component or a flat's green set is moved into
 its own span by PointSpace.spanned; the flat scans read a hyperplane's green
-set as its trace in PG(r-2, q), from PointSpace.hyperplane_traces. The
-forbidden members of each rank are listed once as masks (_member_masks): a
-flat's green set is screened by their sizes and, where no orbit table
-names it, by their hyperplane profiles before it is given a canonical key.
+set as its trace in PG(r-2, q), from PointSpace.hyperplane_traces, and a level
+whose flats are all of a tabled geometry one table byte per flat. The forbidden
+members of each rank are listed once as masks (_member_masks): a flat's green
+set is screened by their sizes and, where no orbit table names it, by their
+hyperplane profiles before it is given a canonical key.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .canonical import canonical_key, orbit_of
-from .catalog import circuit_with_u24, forbidden_fixed
+from .catalog import circuit, circuit_with_u24, forbidden_fixed
 from .errors import ResourceLimitError
 from .matroid import EmbeddedMatroid, embed
 from .projective import TABLE_POINT_CAP, iter_bits, point_space, popcount
@@ -95,9 +96,10 @@ def decide_recursive(M: EmbeddedMatroid) -> Verdict:
 
 # ------------------------------------------------------------ flat criterion
 
-def _flat_sides(space, green: int):
-    """(F, rank, s, x, y) for each flat F of space from FLAT_VIOLATION_FLOOR up,
-    top rank first and lazily, with x = F ∩ G and y = F − G as masks of s.
+def _flat_levels(space, green: int):
+    """(rank, s, flats, xs) per level from FLAT_VIOLATION_FLOOR up, top rank first and
+    lazily: xs holds F ∩ G as a mask of s per flat F (green itself for the top flat),
+    and at rank s.r F is all of s.
 
     s is PG(r-2, q) for the hyperplanes, read as traces, which has tables
     where most inputs live, and space itself elsewhere: a space per level
@@ -106,26 +108,33 @@ def _flat_sides(space, green: int):
     for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
         flats = space.flats_of_rank(frank)
         if frank == space.r - 1:
-            sub = point_space(frank, space.q)
-            for fmask, x in zip(flats, space.hyperplane_traces(green)):
-                yield fmask, frank, sub, x, sub.full_mask ^ x
+            yield frank, point_space(frank, space.q), flats, space.hyperplane_traces(green)
         else:
-            for fmask in flats:
-                yield fmask, frank, space, fmask & green, fmask & ~green
+            yield frank, space, flats, (green,) if frank == space.r else map(green.__and__, flats)
 
 
 def _violating_flats(space, green: int):
     """The flats F of space, from FLAT_VIOLATION_FLOOR up, at which the green set
     fails the flat criterion: r(F ∩ G) = r(F − G) and both sides connected.
 
-    Top rank first and levels streamed lazily: both sides spanning and
-    connected is the common failure, so most non-comatroids yield the full
-    space before any lower level of the flat lattice is built.
+    Top rank first and levels streamed lazily: both sides spanning and connected is
+    the common failure, so most non-comatroids yield the full space before any lower
+    level is built. A level of flats that are all of a tabled s reads both sides in
+    its connected_spanning_table: the sides cover F, so one inside a hyperplane of F
+    leaves the other its spanning complement, and equal ranks mean both span.
     """
-    for fmask, _, s, x, y in _flat_sides(space, green):
-        if (s.rank_of_mask(x) == s.rank_of_mask(y)
-                and s.is_connected_mask(x) and s.is_connected_mask(y)):
-            yield fmask
+    for frank, s, flats, xs in _flat_levels(space, green):
+        cs = s.connected_spanning_table() if frank == s.r else None
+        if cs is not None:
+            for fmask, x in zip(flats, xs):
+                if cs[x] and cs[s.full_mask ^ x]:
+                    yield fmask
+            continue
+        for fmask, x in zip(flats, xs):
+            y = (s.full_mask if frank == s.r else fmask) ^ x
+            if (s.rank_of_mask(x) == s.rank_of_mask(y)
+                    and s.is_connected_mask(x) and s.is_connected_mask(y)):
+                yield fmask
 
 
 def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
@@ -199,9 +208,9 @@ def _member_sizes(rank: int, q: int) -> frozenset[int]:
 
 
 def _hyperplane_profile(space, x: int) -> tuple[int, ...]:
-    """Sorted |x ∩ H| over the hyperplanes H of space: a linear map carries
-    hyperplanes onto hyperplanes, so equivalent spanning sets share it."""
-    return tuple(sorted(popcount(x & h) for h in space.flats_of_rank(space.r - 1)))
+    """Sorted |x ∩ H|, the popcount of x's trace on H, over the hyperplanes H of space:
+    a linear map carries hyperplanes onto hyperplanes, so equivalent spanning sets share it."""
+    return tuple(sorted(map(int.bit_count, space.hyperplane_traces(x))))
 
 
 @lru_cache(maxsize=None)
@@ -213,19 +222,21 @@ def _member_profiles(rank: int, q: int) -> frozenset[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _orbit_table(rank: int, q: int):
-    """The members of _member_masks(rank, q) as a lookup over every mask of PG(rank-1, q).
+    """_member_masks(rank, q), then the spanning circuits, over every mask of PG(rank-1, q).
 
-    Returns (table, names): table[mask] is 0 for no member and 1 + i for
-    names[i]. Each member's orbit is walked from its mask, which lies in this
-    same space, in the order of _member_masks; an orbit already walked marks
-    nothing more, so a mask is named as the first equal key of _members
-    would name it, and no member is keyed. None above TABLE_POINT_CAP
-    points: an orbit there can run to 10^5 masks and more.
+    Returns (table, names): table[mask] is 0 for no member and 1 + i for names[i].
+    Each member's orbit is walked from its mask, which lies in this same space, in
+    the order of _member_masks; an orbit already walked marks nothing more, so a
+    mask is named as the first equal key of _members would name it, and no member is
+    keyed. The spanning circuits of _MIN_CIRCUIT[q] points or more, frames, come
+    last. None above TABLE_POINT_CAP points: an orbit there can run to 10^5 masks.
     """
     space = point_space(rank, q)
     if space.n > TABLE_POINT_CAP:
         return None
     members = _member_masks(rank, q)
+    if rank + 1 >= _MIN_CIRCUIT[q]:
+        members += ((f"circuit of size {rank + 1}", embed(circuit(rank + 1, q)).green_mask, False),)
     table = bytearray(1 << space.n)
     for i, (_, mask, _) in enumerate(members):
         orbit_of(space, mask, table, 1 + i)
@@ -264,19 +275,27 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
 def _match_forbidden(space, green: int):
     """First (flat members, entry name) match for a green set spanning space, or None.
 
-    A forbidden member has rank FLAT_VIOLATION_FLOOR[q] or more (see there),
-    so only flats of those ranks are scanned; each matroid flat is visited
-    once, at its own closure, where x = F ∩ G has the rank of F. A
-    hyperplane's trace is the mask space.spanned(x) would give.
+    A forbidden member has rank FLAT_VIOLATION_FLOOR[q] or more (see there), so only
+    flats of those ranks are scanned; each matroid flat is visited once, at its own
+    closure, where x = F ∩ G has the rank of F. A hyperplane's trace is the mask
+    space.spanned(x) would give. On a level of flats that are all of a tabled s, the
+    orbit table names x in one read.
     """
     # top-rank flats first: circuits and family members sit at the span, so
     # dense non-members are rejected before the wide low-rank levels
-    for fmask, frank, s, x, _ in _flat_sides(space, green):
-        if x == 0 or s.rank_of_mask(x) != frank:
+    for frank, s, flats, xs in _flat_levels(space, green):
+        tabled = _orbit_table(frank, s.q) if frank == s.r else None
+        if tabled is not None:
+            table, names = tabled
+            for fmask, x in zip(flats, xs):
+                if table[x]:
+                    return (tuple(iter_bits(fmask & green)), names[table[x] - 1])
             continue
-        name = _classify_flat(s, x, frank)
-        if name is not None:
-            return (tuple(iter_bits(fmask & green)), name)
+        for fmask, x in zip(flats, xs):
+            if x and s.rank_of_mask(x) == frank:
+                name = _classify_flat(s, x, frank)
+                if name is not None:
+                    return (tuple(iter_bits(fmask & green)), name)
     return None
 
 

@@ -14,19 +14,20 @@ above meets of dual hyperplanes. Spaces with at most 15 points additionally
 carry closure, rank and connected tables over every mask, all read off their
 flats when the space is built; the exhaustive searches and the co-spans of
 components rely on them.
-The one hyperplane incidence packs each point's images under the
-hyperplanes' embeddings into one int, a field per hyperplane: a mask's
-traces are one OR per point of the mask, cut into fields, and a point's
-(hyperplane, bit) pairs are its int's bits. Lazy tables live in attributes
-set in __init__, never in a cached_property, whose write to the instance
-__dict__ makes CPython 3.11 drop the fast path of every later attribute load
-on the instance. Coordinates are read only where a line is filled and by
-the dual hyperplanes' equations (`_dual`); no step eliminates.
+The one hyperplane incidence packs each point's images under the hyperplanes'
+embeddings into one int, a field per hyperplane, ORed up to 32-bit fields into a
+table per byte of a mask: a mask's traces are one read per byte, cut into fields
+by one cast, and a point's (hyperplane, bit) pairs are its int's bits. Lazy tables
+live in attributes set in __init__, never in a cached_property, whose write to the
+instance __dict__ makes CPython 3.11 drop the fast path of every later attribute
+load on the instance. Coordinates are read only where a line is filled and by the
+dual hyperplanes' equations (`_dual`); no step eliminates.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import lru_cache, reduce
 from operator import and_, mul
 
@@ -37,6 +38,7 @@ MAX_SPACE_RANK = 8
 # Largest space that carries closure, rank and connected tables, and whose
 # colorings are enumerated or tabled whole.
 TABLE_POINT_CAP = 15
+_FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # memoryview formats of padded field widths
 
 
 def iter_bits(mask: int):
@@ -80,15 +82,16 @@ class PointSpace:
         self._closure_table: list[int] | None = None
         self._rank_table: bytearray | None = None
         self._connected_table: bytearray | None = None
+        self._connected_spanning: bytes | None = None
         self._duals: list[int] | None = None
-        self._packed_incidence: tuple[int, tuple[int, ...]] | None = None
+        self._packed_incidence: tuple[int, tuple[int, ...], list | None] | None = None
         self._closure_memo: dict[int, int] = {}
         self._components_memo: dict[int, tuple[int, ...]] = {}
         self._vc_memo: dict[int, int] = {}
         self._flats_by_rank: dict[int, tuple[int, ...]] = {}
         self._embeddings: dict[int, tuple["PointSpace", dict[int, int]]] = {}
         self._lines: list[list[int] | None] = [None] * self.n
-        self._sums: list[list[tuple[tuple[int, int], ...] | None] | None] = [None] * self.n
+        self._sums: list[list[tuple[int, ...] | None] | None] = [None] * self.n
         if self.n <= TABLE_POINT_CAP:
             self._build_tables()
 
@@ -130,38 +133,31 @@ class PointSpace:
         """Fill entry i of row x in `_lines` and `_sums`; returns the `_lines` mask.
 
         The `_sums` entry labels the other points y of the line through i and
-        x by c = 1..q-1: at c - 1 it holds (y, nu) with v_i + c*v_x = nu*v_y
-        for the point vectors v.
+        x by c = 1..q-1 in one flat tuple: at 2c - 2 and 2c - 1 it holds y and
+        nu with v_i + c*v_x = nu*v_y for the point vectors v.
         """
         u, v = self.points[i], self.points[x]
         if self.q == 2:
-            sums = ((self.index[tuple(a ^ b for a, b in zip(u, v))], 1),)
+            sums = (self.index[tuple(a ^ b for a, b in zip(u, v))], 1)
         else:
-            sums = []
+            sums = ()
             for w in (tuple((a + b) % 3 for a, b in zip(u, v)),
                       tuple((a - b) % 3 for a, b in zip(u, v))):
                 nu = next(filter(None, w))
                 # nu is 1 or 2, its own inverse
-                sums.append((self.index[w if nu == 1 else vec_scale(2, w, 3)], nu))
-            sums = tuple(sums)
-        extra = 0
-        for y, _ in sums:
-            extra |= 1 << y
+                sums += (self.index[w if nu == 1 else vec_scale(2, w, 3)], nu)
+        extra = sum(1 << y for y in sums[::2])
         self._lines[x][i] = extra
         self._sums[x][i] = sums
         return extra
 
-    def _line_sums(self, i: int, x: int) -> tuple[tuple[int, int], ...]:
+    def _line_sums(self, i: int, x: int) -> tuple[int, ...]:
         """The `_sums` entry of the line through i and x, filled if need be."""
-        row = self._sums[x]
-        if row is None:
+        if self._sums[x] is None:
             self._new_rows(x)
-            row = self._sums[x]
-        got = row[i]
-        if got is None:
+        if self._sums[x][i] is None:
             self._fill_line(i, x)
-            got = row[i]
-        return got
+        return self._sums[x][i]
 
     def _span(self, mask: int) -> int:
         """The closure of mask, one join per rank.
@@ -330,13 +326,15 @@ class PointSpace:
             return len(self.components_mask(mask)) <= 1
         return self._connected_table[mask] == 1
 
-    def connected_spanning_table(self) -> bytes:
+    def connected_spanning_table(self) -> bytes | None:
         """Per mask of a tabled space, 1 if the restriction to it is connected and
         spans the space, else 0: the rank table's spanning entries ANDed with the
-        connected table, whole."""
-        spans = self._rank_table.translate(bytes(v == self.r for v in range(256)))
-        both = int.from_bytes(spans, "little") & int.from_bytes(self._connected_table, "little")
-        return both.to_bytes(len(spans), "little")
+        connected table, whole, built on the first call. None on an untabled space."""
+        if self._connected_spanning is None and self._rank_table is not None:
+            spans = self._rank_table.translate(bytes(v == self.r for v in range(256)))
+            both = int.from_bytes(spans, "little") & int.from_bytes(self._connected_table, "little")
+            self._connected_spanning = both.to_bytes(len(spans), "little")
+        return self._connected_spanning
 
     # ------------------------------------------------- vertical connectivity
 
@@ -409,8 +407,8 @@ class PointSpace:
             for i in iter_bits(flat):
                 m = mu[i]
                 image = sub._line_sums(mapping[i], e)
-                for c, (y, nu) in enumerate(self._line_sums(i, x), 1):
-                    mapping[y] = image[m * c % q - 1][0]
+                for c, (y, nu) in enumerate(zip(*[iter(self._line_sums(i, x))] * 2), 1):
+                    mapping[y] = image[2 * (m * c % q) - 2]
                     mu[y] = nu * m % q
                     new |= 1 << y
             mapping[x] = e
@@ -423,38 +421,51 @@ class PointSpace:
         self._embeddings[flat_mask] = got
         return got
 
-    def _pack_incidence(self) -> tuple[int, tuple[int, ...]]:
-        """(width, packed): the space's one hyperplane incidence. Per point p, one
-        int whose field h of `width` bits, for hyperplane h of flats_of_rank(r - 1)
-        through p, holds the bit of p's image under flat_embedding of h."""
+    def _pack_incidence(self) -> tuple[int, tuple[int, ...], list[list[int]] | None]:
+        """(width, packed, tables): the space's one hyperplane incidence. Per point p,
+        one int whose field h of `width` bits (8, 16, 32 or 64 where that fits), for
+        hyperplane h of flats_of_rank(r - 1) through p, holds the bit of p's image under
+        flat_embedding of h. tables[k][b] ORs the ints of the points in b, byte k of a
+        mask, up to 32-bit fields; None above, where they take 4 MB (PG(4,3)) and more."""
         # a hyperplane has (n - 1) / q points; PG(0, q)'s empty one gets one bit
-        width = max(1, (self.n - 1) // self.q)
+        size = max(1, (self.n - 1) // self.q)
+        width = next((w for w in _FIELD_FORMATS if size <= w), size)
         packed = [0] * self.n
         for h, hmask in enumerate(self.flats_of_rank(self.r - 1)):
             for p, image in self.flat_embedding(hmask)[1].items():
                 packed[p] |= 1 << (h * width + image)
-        self._packed_incidence = width, tuple(packed)
+        tables = [reduce(lambda t, p: t + [v | packed[p] for v in t],
+                         range(low, min(low + 8, self.n)), [0])
+                  for low in range(0, self.n, 8)] if width <= 32 else None
+        self._packed_incidence = width, tuple(packed), tables
         return self._packed_incidence
 
     def hyperplane_pairs(self, p: int) -> tuple[tuple[int, int], ...]:
         """The (h, 1 << image) pairs of the hyperplanes h through point p, in
         increasing h, cut from p's packed int (see _pack_incidence)."""
-        width, packed = self._packed_incidence or self._pack_incidence()
+        width, packed, _ = self._packed_incidence or self._pack_incidence()
         return tuple((b // width, 1 << b % width) for b in iter_bits(packed[p]))
 
     def hyperplane_traces(self, mask: int) -> list[int]:
         """The trace of mask on each hyperplane H, in the order of flats_of_rank(r - 1):
         translate_mask(mask & H, flat_embedding(H)[1]), a mask of point_space(r - 1, q),
-        cut from the OR of the packed ints of mask's points (see _pack_incidence).
+        cut from the OR of the packed ints of mask's points (see _pack_incidence), read
+        a byte of mask at a time where there are tables and cut by one cast if padded.
         """
-        width, packed = self._packed_incidence or self._pack_incidence()
+        width, packed, tables = self._packed_incidence or self._pack_incidence()
         acc = 0
+        for table in tables or ():
+            acc |= table[mask & 255]
+            mask >>= 8
         while mask:
             low = mask & -mask
             acc |= packed[low.bit_length() - 1]
             mask ^= low
-        field = (1 << width) - 1
         # by duality there are as many hyperplanes as points
+        if width in _FIELD_FORMATS:
+            data = acc.to_bytes(self.n * width // 8, sys.byteorder)
+            return memoryview(data).cast(_FIELD_FORMATS[width]).tolist()
+        field = (1 << width) - 1
         return [(acc >> shift) & field for shift in range(0, self.n * width, width)]
 
     def translate_mask(self, mask: int, mapping: dict[int, int]) -> int:

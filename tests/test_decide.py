@@ -33,7 +33,7 @@ from comatroid.decide import (
 from comatroid.errors import ResourceLimitError
 from comatroid.linalg import random_invertible
 from comatroid.matroid import EmbeddedMatroid, embed
-from comatroid.projective import iter_bits, point_space, popcount
+from comatroid.projective import PointSpace, iter_bits, point_space, popcount
 
 from oracles import (
     FORBIDDEN_FLAT_SHA256,
@@ -398,7 +398,8 @@ ORBIT_SIZES = {
     (4, 2): {"M(C5)": 168, "M(K2,3)": 420, "M(K2,3)+e": 420, "M(gem)": 2520,
              "M(house)": 1680, "M(subdivided K4)": 2520},
     (3, 3): {"M(K4)": 234, "P(U23,U23)": 702, "P(U24,U23)": 468, "R6": 78,
-             "W3": 936, "circuit with U(2,4) family (k=3, d=1)": 468},
+             "W3": 936, "circuit with U(2,4) family (k=3, d=1)": 468,
+             "circuit of size 4": 234},
 }
 
 
@@ -416,6 +417,7 @@ def test_orbit_tables_match_key_oracle_on_tabled_spaces():
         sizes = {n for _, rank, n, _ in forbidden_catalog(q) if rank == r}
         if q == 3:
             sizes.add(5)  # the family member k=3, d=1
+            sizes.add(4)  # the spanning circuits
         named_count = Counter()
         for mask in range(1 << space.n):
             if popcount(mask) not in sizes or space.rank_of_mask(mask) != r:
@@ -424,6 +426,37 @@ def test_orbit_tables_match_key_oracle_on_tabled_spaces():
             assert got == forbidden_name_by_key(EmbeddedMatroid(space, mask)), mask
             named_count[got] += 1
         assert {k: v for k, v in named_count.items() if k in want} == want
+
+
+@pytest.mark.parametrize("r,q", [(3, 2), (4, 2), (2, 3), (3, 3)])
+def test_whole_space_level_tables_match_per_flat_tests(r, q):
+    """A flat level whose flats are the whole of a tabled space is read one
+    byte per flat: both sides' connected_spanning_table entries for the flat
+    criterion, the orbit table for the forbidden scan. On every mask the
+    tables, and both scans of the space, which read only its top level when
+    it is at most FLAT_VIOLATION_FLOOR, agree with the per-flat tests: ranks
+    and components, and the key oracle on spanning masks of a size some
+    member or spanning circuit has."""
+    space = point_space(r, q)
+    assert r <= FLAT_VIOLATION_FLOOR[q]
+    rank, connected, full = space.rank_of_mask, space.is_connected_mask, space.full_mask
+    cs = space.connected_spanning_table()
+    table, names = _orbit_table(r, q)
+    sizes = decide._member_sizes(r, q) | ({r + 1} if r + 1 >= (6 if q == 2 else 4) else set())
+    named_count = Counter()
+    for x in range(1 << space.n):
+        y = full ^ x
+        fails = rank(x) == rank(y) and connected(x) and connected(y)
+        assert bool(cs[x] and cs[y]) == fails, x
+        assert list(decide._violating_flats(space, x)) == ([full] if fails else []), x
+        want = None
+        if popcount(x) in sizes and rank(x) == r:
+            want = forbidden_name_by_key(EmbeddedMatroid(space, x))
+        assert (names[table[x] - 1] if table[x] else None) == want, x
+        hit = decide._match_forbidden(space, x)
+        assert hit == (None if want is None else (tuple(iter_bits(x)), want)), x
+        named_count[want] += 1
+    assert {k: v for k, v in named_count.items() if k} == ORBIT_SIZES.get((r, q), {})
 
 
 def test_orbit_tables_match_key_oracle_through_translation():
@@ -627,6 +660,42 @@ def test_constructed_comatroids_are_sound():
             m = _random_comatroid(rng, q)
             if m.rank <= 6:
                 assert threeway(m)
+
+
+def test_tabled_hyperplane_levels_make_no_per_flat_calls(monkeypatch):
+    """The two flat scans read the hyperplanes of PG(4,2) and PG(3,3), traces
+    in PG(3,2) and PG(2,3), from tables alone: deciding comatroids of those
+    spaces makes no _classify_flat and no rank_of_mask call on the traces'
+    spaces, while the untabled top level still makes both."""
+    rng = random.Random(26)
+    inputs = []
+    for q, rank in ((2, 5), (3, 4)):
+        while sum(m.q == q for m in inputs) < 6:
+            m = _random_comatroid(rng, q, max_rank=rank)
+            if m.rank == rank:
+                inputs.append(apply_linear_map(m.to_span(), random_invertible(rank, q, rng)))
+    scans = (decide_flat_criterion, decide_forbidden_flats)
+    for m in inputs:  # builds every table the scans read
+        assert all(scan(m).is_comatroid for scan in scans)
+    classified, ranked = Counter(), Counter()
+    classify, rank_of_mask = decide._classify_flat, PointSpace.rank_of_mask
+
+    def counted_classify(space, x, rank):
+        classified[space.r, space.q] += 1
+        return classify(space, x, rank)
+
+    def counted_rank(self, mask):
+        ranked[self.r, self.q] += 1
+        return rank_of_mask(self, mask)
+
+    monkeypatch.setattr(decide, "_classify_flat", counted_classify)
+    monkeypatch.setattr(PointSpace, "rank_of_mask", counted_rank)
+    for m in inputs:
+        assert all(scan(m).is_comatroid for scan in scans)
+    for tabled in ((4, 2), (3, 3)):
+        assert classified[tabled] == ranked[tabled] == 0, tabled
+    for untabled in ((5, 2), (4, 3)):
+        assert classified[untabled] and ranked[untabled], untabled
 
 
 def _comatroid_sample(space, count, seed):

@@ -334,7 +334,8 @@ def test_flat_embedding_rejects_non_flats(r, q):
     assert space.flat_embedding(line) == flat_embedding_by_elimination(space, line)
 
 
-@pytest.mark.parametrize("r,q", [(1, 2), (2, 3), (3, 2), (5, 2), (4, 3), (6, 2), (5, 3)])
+@pytest.mark.parametrize("r,q", [(1, 2), (2, 3), (3, 2), (5, 2), (4, 3), (6, 2), (5, 3),
+                                 (7, 2), (6, 3)])
 def test_hyperplane_traces_match_embeddings(r, q):
     space = point_space(r, q)
     hyperplanes = space.flats_of_rank(r - 1)
