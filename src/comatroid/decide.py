@@ -208,9 +208,9 @@ def _member_sizes(rank: int, q: int) -> frozenset[int]:
 
 
 def _hyperplane_profile(space, x: int) -> tuple[int, ...]:
-    """Sorted |x ∩ H|, the popcount of x's trace on H, over the hyperplanes H of space:
-    a linear map carries hyperplanes onto hyperplanes, so equivalent spanning sets share it."""
-    return tuple(sorted(map(int.bit_count, space.hyperplane_traces(x))))
+    """Sorted |x ∩ H| over the hyperplanes H of space, read off its dual rows: a linear
+    map carries hyperplanes onto hyperplanes, so equivalent spanning sets share it."""
+    return tuple(sorted([(x & h).bit_count() for h in space.dual_hyperplanes()]))
 
 
 @lru_cache(maxsize=None)

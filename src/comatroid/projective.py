@@ -2,26 +2,26 @@
 
 Points are normalized coordinate tuples (first nonzero coordinate 1) in
 lexicographic order, addressed by index. Point sets are int bitmasks over
-those indices. Rank, closure, components and the embedding of a flat onto
-its own geometry all come from one step on indices: joining a point to a
-flat adds the point and the rest of each line through it and a point of the
-flat. The lines are read from per-point rows that are filled one line at a
-time as joins need them; an entry holds the line's other points as a mask
-and, for the embeddings, labelled by the sums of the two point vectors that
-they are multiples of. A span takes one join per rank, each with the lowest
-point the flat so far misses. Flats up to rank r/2 are joins, and those
-above meets of dual hyperplanes. Spaces with at most 15 points additionally
-carry closure, rank and connected tables over every mask, all read off their
-flats when the space is built; the exhaustive searches and the co-spans of
-components rely on them.
+those indices. Joining a point to a flat adds the point and the rest of each
+line through it and a point of the flat. The lines are read from per-point rows
+that are filled one line at a time as joins need them; an entry holds the
+line's other points as a mask and, for the embeddings, labelled by the sums of
+the two point vectors that they are multiples of. Joins serve the embedding of
+a flat onto its own geometry, the flats up to rank r/2 and the contraction
+along a point. Each point's dual row, the mask of its dual hyperplane, is
+bit-sliced from the coordinates. The flats above r/2 are meets of dual rows, and
+on untabled spaces closure, rank and components come from passes over a mask's
+rows: the dot product is nondegenerate, so a span is its orthogonal's orthogonal.
+Spaces with at most 15 points read closure, rank and connectivity from tables
+over every mask instead, all read off their flats when the space is built.
 The one hyperplane incidence packs each point's images under the hyperplanes'
 embeddings into one int, a field per hyperplane, ORed up to 32-bit fields into a
 table per byte of a mask: a mask's traces are one read per byte, cut into fields
 by one cast, and a point's (hyperplane, bit) pairs are its int's bits. Lazy tables
 live in attributes set in __init__, never in a cached_property, whose write to the
 instance __dict__ makes CPython 3.11 drop the fast path of every later attribute
-load on the instance. Coordinates are read only where a line is filled and by the
-dual hyperplanes' equations (`_dual`); no step eliminates.
+load on the instance. Coordinates are read only where a line is filled and where
+the dual rows are built; no step eliminates.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import sys
 from functools import lru_cache, reduce
-from operator import and_, mul
 
 from .errors import ResourceLimitError
 from .linalg import check_field, vec_scale
@@ -160,16 +159,24 @@ class PointSpace:
         return self._sums[x][i]
 
     def _span(self, mask: int) -> int:
-        """The closure of mask, one join per rank.
+        """The closure of mask, (mask^⊥)^⊥; the second pass stops at a basis of mask^⊥."""
+        perp, basis = self._dual_pass(mask, self.r)
+        return self._dual_pass(perp, self.r - popcount(basis))[0]
 
-        Each join adds the lowest point of mask that the flat so far misses.
-        """
-        flat = 0
-        rest = mask
-        while rest:
-            flat = self._join(flat, (rest & -rest).bit_length() - 1)
-            rest &= ~flat
-        return flat
+    def _dual_pass(self, mask: int, rank: int) -> tuple[int, int]:
+        """(perp, basis): the AND of the dual rows of mask's points, the points orthogonal
+        to mask (all for mask 0), and mask's greedy basis. A point joins the basis and cuts
+        perp exactly when it is not orthogonal to all of perp, i.e. lies outside the span of
+        the points before it. The pass stops once the basis has `rank` points."""
+        duals = self._duals or self.dual_hyperplanes()
+        perp, basis = self.full_mask, 0
+        while mask and rank:
+            low = mask & -mask
+            meet = perp & duals[low.bit_length() - 1]
+            if meet != perp:
+                perp, basis, rank = meet, basis | low, rank - 1
+            mask ^= low
+        return perp, basis
 
     # ----------------------------------------------------------------- tables
 
@@ -245,17 +252,18 @@ class PointSpace:
         Up to rank r/2, flats of rank k - 1 are joined with the points above
         their highest: a flat is the join of its highest point with any of its
         hyperplanes missing that point, whose points all lie below it. Above
-        r/2, the duals of the points of each flat of rank r - k are ANDed: the
+        r/2, the dual rows of a basis of each flat of rank r - k are ANDed: the
         orthogonal complement is a bijection from the flats of rank r - k onto
         those of rank k, and a span's complement is its points' complements' meet.
+        The top flat is the whole space.
         """
         if not 0 <= k <= self.r:
             return ()
         got = self._flats_by_rank.get(k)
         if got is not None:
             return got
-        if k == 0:
-            got = (0,)
+        if k in (0, self.r):
+            got = (self.full_mask if k else 0,)
         elif 2 * k <= self.r:
             got = tuple(sorted({
                 self._join(f, p)
@@ -263,19 +271,34 @@ class PointSpace:
                 for p in range(f.bit_length(), self.n)
             }))
         else:
-            got = tuple(sorted(reduce(and_, map(self._dual, iter_bits(g)), self.full_mask)
-                               for g in self.flats_of_rank(self.r - k)))
+            got = tuple(sorted(self._dual_pass(g, self.r - k)[0] for g in self.flats_of_rank(self.r - k)))
         self._flats_by_rank[k] = got
         return got
 
-    def _dual(self, x: int) -> int:
-        """Mask of point x's dual hyperplane, the points p with x . p = 0; all are
-        built on the first call, which the top flat, dual to no point, never makes."""
+    def dual_hyperplanes(self) -> list[int]:
+        """Per point x, the mask of its dual hyperplane, the points p with x . p = 0, all
+        built on the first call, bit-sliced from the masks of the points whose coordinate i
+        is 1 (ones) or 2 (twos): over GF(2), x . p is the XOR of ones[i] over x's support;
+        over GF(3) it is carried mod 3 in three masks s0, s1, s2, one per value."""
         if self._duals is None:
-            pts, q = self.points, self.q
-            self._duals = [self.mask_of(i for i, p in enumerate(pts) if sum(map(mul, v, p)) % q == 0)
-                           for v in pts]
-        return self._duals[x]
+            full, pts = self.full_mask, self.points
+            ones, twos = ([self.mask_of(j for j, p in enumerate(pts) if p[i] == c) for i in range(self.r)]
+                          for c in (1, 2))
+            zeros = [full & ~(t1 | t2) for t1, t2 in zip(ones, twos)]
+            rows = []
+            for x in pts:
+                s0, s1, s2 = full, 0, 0
+                for a, t0, t1, t2 in zip(x, zeros, ones, twos):
+                    if self.q == 2:
+                        s0 ^= t1 if a else 0
+                    elif a:
+                        # t0, t1, t2: the masks of the points whose term a * p_i is 0, 1, 2
+                        t1, t2 = (t1, t2) if a == 1 else (t2, t1)
+                        s0, s1, s2 = (s0 & t0 | s2 & t1 | s1 & t2, s1 & t0 | s0 & t1 | s2 & t2,
+                                      s2 & t0 | s1 & t1 | s0 & t2)
+                rows.append(s0)
+            self._duals = rows
+        return self._duals
 
     # ------------------------------------------------------------- components
 
@@ -293,21 +316,23 @@ class PointSpace:
         if got is not None:
             return got
         table = self._closure_table
-        basis = 0
-        span = 0
-        left = mask
-        while left:
-            low = left & -left
-            basis |= low
-            span = (table[basis] if table is not None
-                    else self._join(span, low.bit_length() - 1))
-            left &= ~span
+        if table is None:
+            basis = self._dual_pass(mask, self.r)[1]
+        else:
+            basis, left = 0, mask
+            while left:
+                basis |= left & -left
+                left &= ~table[basis]
         blocks: list[int] = []
         for b in iter_bits(basis):
-            # a tabled space reads each co-span; elsewhere they are re-spanned,
-            # skipping _closure_memo, which would otherwise grow by |B| per mask
+            # a tabled space reads each co-span; elsewhere mask lies in span(B), which meets
+            # the dual row of any h orthogonal to B - b but not to b in span(B - b)
             others = basis ^ (1 << b)
-            block = mask & ~(table[others] if table is not None else self._span(others))
+            if table is None:
+                h = self._dual_pass(others, self.r)[0] & ~self._duals[b]
+                block = mask & ~self._duals[(h & -h).bit_length() - 1]
+            else:
+                block = mask & ~table[others]
             rest = []
             for other in blocks:
                 if other & block:

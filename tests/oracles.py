@@ -2,7 +2,7 @@
 
 Everything here recomputes from first principles (coefficient enumeration
 over coordinate vectors, textbook definitions) without touching the library's
-own rank, closure, or connectivity machinery. There are ten exceptions:
+own rank, closure, or connectivity machinery. There are thirteen exceptions:
 `flat_embedding_by_elimination` and `contraction_map_by_elimination` are the
 Gaussian-elimination embedding of a flat and projection along a point that
 `PointSpace.flat_embedding` and `PointSpace.contraction_map` replaced, kept
@@ -11,7 +11,11 @@ by a join per mask, the reference for the tables read off the flats;
 `flats_by_joins` builds every level of the flat lattice by the library's
 joins of each flat with every point outside it, the reference for
 `PointSpace.flats_of_rank`, which joins fewer points and reads its upper
-half by duality;
+half by duality; `duals_by_dot_products` lists each point's dual hyperplane
+by a dot product per pair of points, the reference for the bit-sliced
+`PointSpace.dual_hyperplanes`; `span_by_joins` and `components_by_joins` are
+the closure and components of an untabled space by a join per rank, the
+references for the passes over dual rows that replaced them;
 `violating_flats_ambient` and `match_forbidden_ambient` are the two flat
 deciders' scans with every flat read in the ambient space, the references
 for the scans that read each hyperplane as its trace in PG(r-2, q);
@@ -227,6 +231,43 @@ def flats_by_joins(space):
         levels.append(tuple(sorted({space._join(f, p) for f in levels[-1]
                                     for p in range(space.n) if not (f >> p) & 1})))
     return levels
+
+
+def duals_by_dot_products(space):
+    """Per point v, the mask of the points p with v . p = 0 mod q."""
+    pts, q = space.points, space.q
+    return [space.mask_of(i for i, p in enumerate(pts) if sum(a * b for a, b in zip(v, p)) % q == 0)
+            for v in pts]
+
+
+def span_by_joins(space, mask):
+    """The closure of mask, one join per rank, each with the lowest point of mask
+    that the flat so far misses."""
+    flat = 0
+    rest = mask
+    while rest:
+        flat = space._join(flat, (rest & -rest).bit_length() - 1)
+        rest &= ~flat
+    return flat
+
+
+def components_by_joins(space, mask):
+    """Sorted components of the restriction to mask: a greedy basis B grown by joins,
+    and each basis point b with the points of mask off span_by_joins(B - b) in one
+    component, the blocks that share a point merged."""
+    basis = span = 0
+    left = mask
+    while left:
+        low = left & -left
+        basis |= low
+        span = space._join(span, low.bit_length() - 1)
+        left &= ~span
+    blocks = []
+    for b in iter_bits(basis):
+        block = mask & ~span_by_joins(space, basis ^ (1 << b))
+        merged = [other for other in blocks if other & block]
+        blocks = [other for other in blocks if not other & block] + [block | sum(merged)]
+    return tuple(sorted(blocks))
 
 
 def violating_flats_ambient(space, green):

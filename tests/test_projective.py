@@ -18,9 +18,12 @@ from oracles import (
     brute_rank,
     brute_span_members,
     brute_vertical_connectivity,
+    components_by_joins,
     contraction_map_by_elimination,
+    duals_by_dot_products,
     flat_embedding_by_elimination,
     flats_by_joins,
+    span_by_joins,
     tables_by_joins,
 )
 
@@ -95,7 +98,7 @@ def test_join_of_two_points_is_their_line(r, q):
 
 def test_tabled_components_match_untabled_path():
     # PG(3,2) reads co-spans from its closure table; a hyperplane of PG(4,2)
-    # is the same geometry, where co-spans are re-spanned by joins
+    # is the same geometry, where co-spans are cut by dual rows
     big = point_space(5, 2)
     rng = random.Random(21)
     for hyperplane in big.flats_of_rank(4)[::6]:
@@ -106,6 +109,64 @@ def test_tabled_components_match_untabled_path():
             mask = rng.randrange(1 << sub.n)
             want = sorted(big.translate_mask(b, back) for b in sub.components_mask(mask))
             assert sorted(big.components_mask(big.translate_mask(mask, back))) == want
+
+
+@pytest.mark.parametrize("r,q", [(r, 2) for r in range(8)] + [(r, 3) for r in range(7)])
+def test_dual_hyperplanes_match_dot_products(r, q):
+    space = PointSpace(r, q)
+    assert space.dual_hyperplanes() == duals_by_dot_products(space)
+
+
+def _dense_and_sparse_masks(space, rng):
+    """Masks of every density for the untabled reference tests: the full set, n - 1
+    points, 25 points or more, dense parts of a hyperplane and of two skew flats (the
+    rank below r and disconnected), and 1 to 8 random points. The flats are spanned
+    by joins from random bases."""
+    full, n, r = space.full_mask, space.n, space.r
+    out = [full] + [full ^ (1 << p) for p in rng.sample(range(n), 4)]
+    out += [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(8)]
+    out += [space.mask_of(rng.sample(range(n), rng.randint(25, n - 2))) for _ in range(8)]
+    for _ in range(12):
+        basis, span = [], 0
+        while span != full:
+            p = rng.choice([p for p in range(n) if not span >> p & 1])
+            basis.append(p)
+            span = span_by_joins(space, span | 1 << p)
+        k = rng.randint(1, r - 1)
+        f1, f2 = (span_by_joins(space, space.mask_of(part)) for part in (basis[:k], basis[k:]))
+        hyperplane = span_by_joins(space, space.mask_of(basis[1:]))
+        out += [f1 & rng.getrandbits(n) | f2 & rng.getrandbits(n), f1 | f2 ^ (f2 & -f2),
+                hyperplane ^ (hyperplane & -hyperplane), hyperplane & rng.getrandbits(n) | 1 << basis[1]]
+    out += [space.mask_of(rng.sample(range(n), rng.randint(1, 8))) for _ in range(16)]
+    return out
+
+
+@pytest.mark.parametrize("r,q", [(5, 2), (6, 2), (7, 2), (4, 3), (5, 3), (6, 3)])
+def test_untabled_closure_and_components_match_joins(r, q):
+    # fresh spaces: the reference fills its line rows, the tested space answers from
+    # no memo filled elsewhere
+    ref, space = PointSpace(r, q), PointSpace(r, q)
+    assert space._closure_table is None
+    rank_of_size = {(q**k - 1) // (q - 1): k for k in range(r + 1)}
+    for mask in _dense_and_sparse_masks(ref, random.Random(r * 10 + q)):
+        span = span_by_joins(ref, mask)
+        assert space.closure_mask(mask) == span
+        assert space.rank_of_mask(mask) == rank_of_size[span.bit_count()]
+        assert space.components_mask(mask) == components_by_joins(ref, mask)
+
+
+@pytest.mark.parametrize("r,q", [(5, 2), (4, 3)])
+def test_untabled_closure_and_components_fill_no_line(r, q):
+    # closure, rank and components of an untabled space read dual rows only: after
+    # a few hundred calls no row of lines (or of their sums) has been allocated
+    space = PointSpace(r, q)
+    rng = random.Random(r + q)
+    for _ in range(150):
+        mask = space.mask_of(rng.sample(range(space.n), rng.randint(1, space.n)))
+        space.closure_mask(mask), space.rank_of_mask(mask ^ 1), space.components_mask(mask)
+    assert space._closure_table is None and len(space._components_memo) > 100
+    assert space._lines == [None] * space.n
+    assert space._sums == [None] * space.n
 
 
 @settings(max_examples=80, deadline=None)
