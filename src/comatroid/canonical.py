@@ -29,7 +29,7 @@ from functools import lru_cache
 from .errors import ResourceLimitError
 from .linalg import mat_apply, normalize, vec_add, vec_scale
 from .matroid import EmbeddedMatroid
-from .projective import PointSpace, iter_bits, point_space
+from .projective import PointSpace, iter_bits, point_space, subset_ors
 
 MAX_CANONICAL_RANK = 6
 
@@ -181,7 +181,8 @@ def _generator_images(r: int, q: int) -> tuple[tuple[list[int], ...], ...]:
     and over GF(3) the scaling of v0, generate GL(r, q): the shift conjugates
     the transvection to every v_i += v_(i+1), whose commutators give every
     v_i += v_j. Table k maps the masks of points 8k to 8k + 7, and a mask's
-    image is the union of table k at its byte k.
+    image is the union of table k at its byte k. Tables are built by doubling,
+    and a space of at most 8 points gets a second one, [0], for orbit_of.
     """
     space = point_space(r, q)
     maps = [
@@ -190,10 +191,9 @@ def _generator_images(r: int, q: int) -> tuple[tuple[list[int], ...], ...]:
     ]
     if q > 2:
         maps.append(lambda v: ((2 * v[0]) % q,) + v[1:])
-    chunks = [(s, 1 << min(space.n - s, 8)) for s in range(0, space.n, 8)]
-    perms = [[space.index[normalize(f(v), q)] for v in space.points] for f in maps]
-    return tuple(tuple([space.translate_mask(b << s, perm) for b in range(size)]
-                       for s, size in chunks) for perm in perms)
+    images = [[1 << space.index[normalize(f(v), q)] for v in space.points] for f in maps]
+    return tuple(tuple(subset_ors(image[s:s + 8]) for s in range(0, max(space.n, 9), 8))
+                 for image in images)
 
 
 def orbit_of(space: PointSpace, green: int, seen, mark: int = 1) -> list[int]:
@@ -202,16 +202,19 @@ def orbit_of(space: PointSpace, green: int, seen, mark: int = 1) -> list[int]:
     seen maps masks to marks, 0 for none: a bytearray over the space's masks
     or a dict whose missing keys read 0, such as a Counter. Every mask reached
     is set to mark and a marked one is not walked, so a walked orbit gives [].
+    Each generator's image of a mask reads its first two bytes inline and loops
+    only over the bytes above, which no tabled space has.
     """
     if seen[green]:
         return []
-    gens = _generator_images(space.r, space.q)
+    gens = [(tables[0], tables[1], tables[2:]) for tables in _generator_images(space.r, space.q)]
     seen[green] = mark
     orbit = [green]
     for mask in orbit:
-        for tables in gens:
-            image = 0
-            rest = mask
+        low, mid, high = mask & 255, mask >> 8 & 255, mask >> 16
+        for t0, t1, tables in gens:
+            image = t0[low] | t1[mid]
+            rest = high
             for table in tables:
                 image |= table[rest & 255]
                 rest >>= 8

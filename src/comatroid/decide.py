@@ -26,7 +26,7 @@ from .canonical import canonical_key, orbit_of
 from .catalog import circuit, circuit_with_u24, forbidden_fixed
 from .errors import ResourceLimitError
 from .matroid import EmbeddedMatroid, embed
-from .projective import TABLE_POINT_CAP, iter_bits, point_space, popcount
+from .projective import TABLE_POINT_CAP, bits, point_space, popcount
 
 RECURSIVE_RANK_CAP = 7
 FLAT_RANK_CAP = 6
@@ -40,6 +40,8 @@ FLAT_RANK_CAP = 6
 FLAT_VIOLATION_FLOOR = {2: 4, 3: 3}
 # Fewest points of a forbidden circuit: six over GF(2), four over GF(3)
 _MIN_CIRCUIT = {2: 6, 3: 4}
+# The one type a certificate's point index may have: no subclass of int
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def _decide_rec(space, green: int) -> tuple[bool, tuple]:
         ok = True
         for c in space.components_mask(green):
             good, cert = _decide_rec(*space.spanned(c))
-            children.append((tuple(iter_bits(c)), cert))
+            children.append((bits(c), cert))
             ok = ok and good
         out = (ok, ("components", tuple(children)))
     else:
@@ -150,7 +152,7 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
     fmask = next(_violating_flats(*M.space.spanned(M.green_mask)), None)
     if fmask is None:
         return Verdict(True, "flat-criterion")
-    return Verdict(False, "flat-criterion", ("violating-flat", tuple(iter_bits(fmask))))
+    return Verdict(False, "flat-criterion", ("violating-flat", bits(fmask)))
 
 
 # ---------------------------------------------------------- forbidden flats
@@ -289,13 +291,13 @@ def _match_forbidden(space, green: int):
             table, names = tabled
             for fmask, x in zip(flats, xs):
                 if table[x]:
-                    return (tuple(iter_bits(fmask & green)), names[table[x] - 1])
+                    return (bits(fmask & green), names[table[x] - 1])
             continue
         for fmask, x in zip(flats, xs):
             if x and s.rank_of_mask(x) == frank:
                 name = _classify_flat(s, x, frank)
                 if name is not None:
-                    return (tuple(iter_bits(fmask & green)), name)
+                    return (bits(fmask & green), name)
     return None
 
 
@@ -358,9 +360,10 @@ def verify_certificate(M: EmbeddedMatroid, verdict: Verdict) -> bool:
 
 def _members_mask(space, members) -> int | None:
     """Mask of a certificate's point list, or None unless it is a plain tuple of
-    plain ints naming points of space (no subclass can change what it reads as)."""
-    if not (type(members) is tuple
-            and all(type(i) is int and 0 <= i < space.n for i in members)):
+    plain ints naming points of space (no subclass can change what it reads as).
+    Each check is one pass in C: the members' types, then their least and greatest."""
+    if not (type(members) is tuple and _INT.issuperset(map(type, members))
+            and (not members or 0 <= min(members) and max(members) < space.n)):
         return None
     return space.mask_of(members)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .linalg import check_field, vec_scale
@@ -51,9 +51,29 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+# per byte value, the indices of its set bits as bits 0-7 and as bits 8-15
+_BYTE_BITS = [tuple(iter_bits(b)) for b in range(256)]
+_SECOND_BYTE_BITS = [tuple(i + 8 for i in t) for t in _BYTE_BITS]
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The indices of mask's set bits in increasing order, tuple(iter_bits(mask)): the low
+    two bytes read from per-byte tables, any higher bits from iter_bits."""
+    low = _BYTE_BITS[mask & 255] + _SECOND_BYTE_BITS[mask >> 8 & 255]
+    return low + tuple(iter_bits(mask >> 16 << 16)) if mask >> 16 else low
+
+
+def subset_ors(values) -> list[int]:
+    """Entry b is the OR of values[j] over the set bits j of b, built by doubling."""
+    table = [0]
+    for v in values:
+        table += [u | v for u in table]
+    return table
+
+
 def _submasks(mask: int) -> list[int]:
     """The nonempty submasks of mask."""
-    return [sum(bits) for bits in itertools.product(*((0, 1 << i) for i in iter_bits(mask)))][1:]
+    return subset_ors([1 << i for i in iter_bits(mask)])[1:]
 
 
 class PointSpace:
@@ -459,9 +479,7 @@ class PointSpace:
         for h, hmask in enumerate(self.flats_of_rank(self.r - 1)):
             for p, image in self.flat_embedding(hmask)[1].items():
                 packed[p] |= 1 << (h * width + image)
-        tables = [reduce(lambda t, p: t + [v | packed[p] for v in t],
-                         range(low, min(low + 8, self.n)), [0])
-                  for low in range(0, self.n, 8)] if width <= 32 else None
+        tables = [subset_ors(packed[low:low + 8]) for low in range(0, self.n, 8)] if width <= 32 else None
         self._packed_incidence = width, tuple(packed), tables
         return self._packed_incidence
 
@@ -495,7 +513,7 @@ class PointSpace:
 
     def translate_mask(self, mask: int, mapping: dict[int, int]) -> int:
         out = 0
-        for i in iter_bits(mask):
+        for i in bits(mask):
             out |= 1 << mapping[i]
         return out
 

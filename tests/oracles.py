@@ -2,7 +2,7 @@
 
 Everything here recomputes from first principles (coefficient enumeration
 over coordinate vectors, textbook definitions) without touching the library's
-own rank, closure, or connectivity machinery. There are thirteen exceptions:
+own rank, closure, or connectivity machinery. There are fifteen exceptions:
 `flat_embedding_by_elimination` and `contraction_map_by_elimination` are the
 Gaussian-elimination embedding of a flat and projection along a point that
 `PointSpace.flat_embedding` and `PointSpace.contraction_map` replaced, kept
@@ -19,8 +19,13 @@ references for the passes over dual rows that replaced them;
 `violating_flats_ambient` and `match_forbidden_ambient` are the two flat
 deciders' scans with every flat read in the ambient space, the references
 for the scans that read each hyperplane as its trace in PG(r-2, q);
-`forbidden_name_by_key` names forbidden members by canonical keys, the
-mechanism the forbidden-flat orbit tables stand in for;
+`generator_images_by_translation` and `orbit_by_generic_walk` are the
+per-byte translate_mask build of the orbit walk's generator tables and the walk
+that reads every byte of a mask in one loop, the references for
+`canonical._generator_images`, built by doubling, and `canonical.orbit_of`,
+which reads the first two bytes inline; `forbidden_name_by_key` names
+forbidden members by canonical keys, the mechanism the forbidden-flat orbit
+tables stand in for;
 `minimal_by_proper_flats` runs the flat criterion on every proper flat
 restriction, the definition that the census's hyperplane search stands in
 for; `rank5_gluing_keys`, a search over gluings of a circuit to a small part,
@@ -295,6 +300,42 @@ def match_forbidden_ambient(space, green):
             if name is not None:
                 return (tuple(iter_bits(x)), name)
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def generator_images_by_translation(r, q):
+    """Per generator of canonical._generator_images, the images of each byte of a mask,
+    one translate_mask per byte value: table k maps the masks of points 8k to 8k + 7."""
+    space = point_space(r, q)
+    maps = [lambda v: v[1:] + v[:1], lambda v: ((v[0] + v[1]) % q,) + v[1:]]
+    if q > 2:
+        maps.append(lambda v: ((2 * v[0]) % q,) + v[1:])
+    chunks = [(s, 1 << min(space.n - s, 8)) for s in range(0, space.n, 8)]
+    perms = [[space.index[normalize(f(v), q)] for v in space.points] for f in maps]
+    return tuple(tuple([space.translate_mask(b << s, perm) for b in range(size)]
+                       for s, size in chunks) for perm in perms)
+
+
+def orbit_by_generic_walk(space, green, seen, mark=1):
+    """canonical.orbit_of with every byte of a mask read in one loop over the tables
+    of generator_images_by_translation: the masks of green's orbit, each marked in
+    seen, or [] when green is marked already."""
+    if seen[green]:
+        return []
+    gens = generator_images_by_translation(space.r, space.q)
+    seen[green] = mark
+    orbit = [green]
+    for mask in orbit:
+        for tables in gens:
+            image = 0
+            rest = mask
+            for table in tables:
+                image |= table[rest & 255]
+                rest >>= 8
+            if not seen[image]:
+                seen[image] = mark
+                orbit.append(image)
+    return orbit
 
 
 def _mat_vec(mat, v, q):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from comatroid.canonical import (
     _code_sums,
     _CodeSums,
+    _generator_images,
     _key_memo,
     apply_linear_map,
     canonical_key,
@@ -22,7 +23,13 @@ from comatroid.linalg import random_invertible, vec_add, vec_scale
 from comatroid.matroid import EmbeddedMatroid, MatrixPresentation, embed
 from comatroid.projective import iter_bits, point_space
 
-from oracles import CANONICAL_KEY_SHA256, brute_canonical_mask, brute_rank
+from oracles import (
+    CANONICAL_KEY_SHA256,
+    brute_canonical_mask,
+    brute_rank,
+    generator_images_by_translation,
+    orbit_by_generic_walk,
+)
 
 
 def circuit_presentation(k, q=2, shuffle_seed=None):
@@ -182,6 +189,26 @@ def test_orbit_walk_on_every_census_space():
             assert apply_linear_map(m, random_invertible(r, q, rng)).green_mask in members
         for mask in rng.sample(orbit, 5):
             assert canonical_key(EmbeddedMatroid(space, mask)) == canonical_key(m)
+
+
+@pytest.mark.parametrize("r,q", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3)])
+def test_generator_images_match_translation(r, q):
+    """The byte tables built by doubling are the per-byte translate_mask build; a
+    space of at most 8 points also gets the second table, [0]."""
+    want = generator_images_by_translation(r, q)
+    assert _generator_images(r, q) == tuple(t + ([0],) * (2 - len(t)) for t in want)
+
+
+@pytest.mark.parametrize("r,q", [(3, 2), (4, 2), (2, 3), (3, 3)])
+def test_orbit_walk_matches_generic_walk(r, q):
+    """Walked from every mask in turn, orbit_of gives the orbits, each in the same
+    order, that the walk reading every byte in one loop gives: the same partition."""
+    space = point_space(r, q)
+    seen, seen_ref = bytearray(1 << space.n), bytearray(1 << space.n)
+    for mask in range(1 << space.n):
+        mark = mask % 255 + 1
+        assert orbit_of(space, mask, seen, mark) == orbit_by_generic_walk(space, mask, seen_ref, mark)
+    assert seen == seen_ref
 
 
 # (r, q, masks drawn) for the pinned key digest

@@ -267,6 +267,78 @@ def test_replay_rejects_certificates_not_built_of_tuples():
     assert_rejected_cold_and_warm(m, Verdict(v.is_comatroid, v.method, listed))
 
 
+class _Int(int):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+def _swap(members, old, new):
+    return tuple(new if i == old else i for i in members)
+
+
+# Each way a certificate's point list must not read: an index that is no plain int
+# (True, 1.0 and an int subclass all equal the point 1), out of range (-1 stands for
+# the last point n - 1 in Python's indexing, n lies past it), or a list that is no
+# plain tuple. Each takes the point list and the space's point count n.
+MEMBER_FORGERIES = {
+    "True": lambda members, n: _swap(members, 1, True),
+    "float": lambda members, n: _swap(members, 1, 1.0),
+    "int-subclass": lambda members, n: _swap(members, 1, _Int(1)),
+    "minus-one": lambda members, n: _swap(members, n - 1, -1),
+    "n": lambda members, n: members + (n,),
+    "list": lambda members, n: list(members),
+    "tuple-subclass": lambda members, n: _Tuple(members),
+}
+
+
+def _forge_members(verdict, forge, n):
+    """verdict with forge applied to every point list of its certificate: the flat of a
+    flat-criterion verdict, the witness of a forbidden-flat one, or each component of
+    the recursive trace's top components step."""
+    match verdict.certificate:
+        case ("violating-flat", members):
+            cert = ("violating-flat", forge(members, n))
+        case ("witness", side, members, entry):
+            cert = ("witness", side, forge(members, n), entry)
+        case ("components", children):
+            cert = ("components", tuple((forge(members, n), sub) for members, sub in children))
+    return Verdict(verdict.is_comatroid, verdict.method, cert)
+
+
+# the 5-circuit of the tabled PG(3,2), the 6-circuit of the untabled PG(4,2), and the
+# direct sum of a point with a 4-circuit through points 1 and 14 in PG(3,2): every
+# certificate names points 1 and n - 1
+FORGERY_CASES = {
+    "flat-tabled": (embed(circuit(5, 2)), decide_flat_criterion),
+    "flat-untabled": (embed(circuit(6, 2)), decide_flat_criterion),
+    "witness-tabled": (embed(circuit(5, 2)), decide_forbidden_flats),
+    "witness-untabled": (embed(circuit(6, 2)), decide_forbidden_flats),
+    "components": (EmbeddedMatroid(point_space(4, 2), 0b100000010010011), decide_recursive),
+}
+
+
+@pytest.mark.parametrize("forgery", MEMBER_FORGERIES)
+@pytest.mark.parametrize("case", FORGERY_CASES)
+def test_replay_rejects_forged_point_lists(case, forgery):
+    m, decider = FORGERY_CASES[case]
+    v = decider(m)
+    n = m.space.n
+    # the certificate names points 1 and n - 1, so every forgery changes it
+    named = []
+    _forge_members(v, lambda members, n: named.extend(members) or members, n)
+    assert {1, n - 1} <= set(named)
+    assert verify_certificate(m, v)
+    assert_rejected_cold_and_warm(m, _forge_members(v, MEMBER_FORGERIES[forgery], n))
+
+
+def test_empty_point_list_reads_as_the_empty_mask():
+    for m, _ in FORGERY_CASES.values():
+        assert decide._members_mask(m.space, ()) == 0
+
+
 def _rewrite_deepest(cert, rewrite):
     """cert with its deepest step that rewrite(step) changes replaced, or None."""
     match cert:

@@ -1,6 +1,7 @@
 """Tests for the projective point spaces, pinned against brute-force oracles."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from comatroid import linalg
 from comatroid.cli import _FILTERS
 from comatroid.errors import ResourceLimitError, UnsupportedFieldError
 from comatroid.matroid import EmbeddedMatroid
-from comatroid.projective import TABLE_POINT_CAP, PointSpace, iter_bits, point_space
+from comatroid.projective import TABLE_POINT_CAP, PointSpace, _submasks, bits, iter_bits, point_space
 
 from oracles import (
     brute_components,
@@ -428,3 +429,22 @@ def test_contraction_map_fibers(r, q):
         assert set(images) == set(range(sub.n))
         for im in set(images):
             assert images.count(im) == q
+
+
+def test_bits_match_iter_bits():
+    """bits reads the low two bytes from tables and the rest from iter_bits; both
+    give the set bits in increasing order, across each byte boundary."""
+    rng = random.Random(28)
+    edges = [0, 1, 255, 256, 2**16 - 1, 2**16, 2**16 + 1, 2**24 + 2**8, 2**130 - 1]
+    for m in edges + [rng.getrandbits(rng.randint(1, 130)) for _ in range(2000)]:
+        assert bits(m) == tuple(iter_bits(m)), m
+        assert type(bits(m)) is tuple
+
+
+def test_submasks_match_product():
+    """The submasks built by doubling are the old product of per-point choices."""
+    rng = random.Random(5)
+    for m in [1, 2**14, 0b1011, 2**15 - 1] + [rng.getrandbits(15) or 1 for _ in range(40)]:
+        want = [sum(c) for c in itertools.product(*((0, 1 << i) for i in iter_bits(m)))][1:]
+        got = _submasks(m)
+        assert len(got) == len(want) and sorted(got) == sorted(want), m
