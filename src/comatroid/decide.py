@@ -9,12 +9,12 @@ complement against a finite catalog plus unbounded families.
 The deciders and the replay take an EmbeddedMatroid at the door and work on
 (space, green) pairs inside: green is a mask spanning space, a complement is
 space.full_mask ^ green, and a component or a flat's green set is moved into
-its own span by PointSpace.spanned; the flat scans read a hyperplane's green
-set as its trace in PG(r-2, q), from PointSpace.hyperplane_traces, and a level
-whose flats are all of a tabled geometry one table byte per flat. The forbidden
-members of each rank are listed once as masks (_member_masks): a flat's green
-set is screened by their sizes and, where no orbit table names it, by their
-hyperplane profiles before it is given a canonical key.
+its own span by PointSpace.spanned. Both flat scans walk one level plan per
+(r, q) (_plans): the hyperplanes read as traces in PG(r-2, q), the other levels
+in the space itself, and a level of tabled geometries one table byte per flat.
+Forbidden members are listed once per rank as masks (_member_masks): a flat's
+green set is screened by their sizes and, where no orbit table names it, by
+their hyperplane profiles before it is given a canonical key.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ class Verdict:
     certificate: tuple | None = None
 
 
+# the flat deciders' certificate-less positives, each one object shared by every call
+_FLAT_POSITIVE = Verdict(True, "flat-criterion")
+_FORBIDDEN_POSITIVE = Verdict(True, "forbidden-flat")
+
 # ---------------------------------------------------------------- recursive
 
 _rec_memo: dict[tuple[int, int, int], tuple[bool, tuple]] = {}
@@ -89,7 +93,7 @@ def _decide_rec(space, green: int) -> tuple[bool, tuple]:
 
 def decide_recursive(M: EmbeddedMatroid) -> Verdict:
     """Decide by unwinding complements and direct-sum components to the empty base."""
-    if M.rank > RECURSIVE_RANK_CAP:
+    if M.space.r > RECURSIVE_RANK_CAP and M.rank > RECURSIVE_RANK_CAP:
         raise ResourceLimitError(
             f"recursive decision capped at rank {RECURSIVE_RANK_CAP}, got {M.rank}")
     ok, cert = _decide_rec(*M.space.spanned(M.green_mask))
@@ -98,35 +102,41 @@ def decide_recursive(M: EmbeddedMatroid) -> Verdict:
 
 # ------------------------------------------------------------ flat criterion
 
-def _flat_levels(space, green: int):
-    """(rank, s, flats, xs) per level from FLAT_VIOLATION_FLOOR up, top rank first and
-    lazily: xs holds F ∩ G as a mask of s per flat F (green itself for the top flat),
-    and at rank s.r F is all of s.
+class _Plans(dict):
+    """(r, q) -> (rank, s, cs) per flat level of PG(r-1, q), rank r down to FLAT_VIOLATION_FLOOR[q],
+    built on first use: the hyperplanes read as traces in s = PG(r-2, q), with cs its
+    connected_spanning_table(); the top flat and lower levels (s, cs None) in the scanned
+    space itself, as a space per level would hold its own memos. A tabled space has one level."""
 
-    s is PG(r-2, q) for the hyperplanes, read as traces, which has tables
-    where most inputs live, and space itself elsewhere: a space per level
-    would hold one more set of memos each.
-    """
-    for frank in range(space.r, FLAT_VIOLATION_FLOOR[space.q] - 1, -1):
-        flats = space.flats_of_rank(frank)
-        if frank == space.r - 1:
-            yield frank, point_space(frank, space.q), flats, space.hyperplane_traces(green)
-        else:
-            yield frank, space, flats, (green,) if frank == space.r else map(green.__and__, flats)
+    def __missing__(self, key: tuple[int, int]) -> tuple[tuple, ...]:
+        r, q = key
+        plan = self[key] = tuple(
+            (k, point_space(k, q), point_space(k, q).connected_spanning_table()) if k == r - 1
+            else (k, None, None) for k in range(r, FLAT_VIOLATION_FLOOR[q] - 1, -1))
+        return plan
+
+
+_plans = _Plans()
 
 
 def _violating_flats(space, green: int):
     """The flats F of space, from FLAT_VIOLATION_FLOOR up, at which the green set
     fails the flat criterion: r(F ∩ G) = r(F − G) and both sides connected.
 
-    Top rank first and levels streamed lazily: both sides spanning and connected is
-    the common failure, so most non-comatroids yield the full space before any lower
-    level is built. A level of flats that are all of a tabled s reads both sides in
-    its connected_spanning_table: the sides cover F, so one inside a hyperplane of F
-    leaves the other its spanning complement, and equal ranks mean both span.
+    Walks _plans top rank first, fetching a level's flats on reaching it: most
+    non-comatroids fail at the full space, before a lower level is built. xs holds
+    each F ∩ G as a mask of s. A tabled s reads both sides in cs: they cover F, so one
+    in a hyperplane of F leaves the other spanning, and equal ranks mean both span.
     """
-    for frank, s, flats, xs in _flat_levels(space, green):
-        cs = s.connected_spanning_table() if frank == s.r else None
+    for frank, s, cs in _plans[space.r, space.q]:
+        if s is None:
+            s, cs = space, space.connected_spanning_table()
+            if cs is not None:
+                if cs[green] and cs[space.full_mask ^ green]:
+                    yield space.full_mask
+                continue
+        flats = space.flats_of_rank(frank)
+        xs = map(green.__and__, flats) if s is space else space.hyperplane_traces(green)
         if cs is not None:
             for fmask, x in zip(flats, xs):
                 if cs[x] and cs[s.full_mask ^ x]:
@@ -146,13 +156,11 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
     r(F ∩ G) = r(F − G) has a disconnected restriction on at least one side.
     Flats below FLAT_VIOLATION_FLOOR never fail it, so they are not visited.
     """
-    if M.rank > FLAT_RANK_CAP:
-        raise ResourceLimitError(
-            f"flat criterion capped at rank {FLAT_RANK_CAP}, got {M.rank}")
-    fmask = next(_violating_flats(*M.space.spanned(M.green_mask)), None)
-    if fmask is None:
-        return Verdict(True, "flat-criterion")
-    return Verdict(False, "flat-criterion", ("violating-flat", bits(fmask)))
+    if M.space.r > FLAT_RANK_CAP and M.rank > FLAT_RANK_CAP:
+        raise ResourceLimitError(f"flat criterion capped at rank {FLAT_RANK_CAP}, got {M.rank}")
+    for fmask in _violating_flats(*M.space.spanned(M.green_mask)):
+        return Verdict(False, "flat-criterion", ("violating-flat", bits(fmask)))
+    return _FLAT_POSITIVE
 
 
 # ---------------------------------------------------------- forbidden flats
@@ -277,18 +285,22 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
 def _match_forbidden(space, green: int):
     """First (flat members, entry name) match for a green set spanning space, or None.
 
-    A forbidden member has rank FLAT_VIOLATION_FLOOR[q] or more (see there), so only
-    flats of those ranks are scanned; each matroid flat is visited once, at its own
-    closure, where x = F ∩ G has the rank of F. A hyperplane's trace is the mask
-    space.spanned(x) would give. On a level of flats that are all of a tabled s, the
-    orbit table names x in one read.
+    Walks _plans as _violating_flats does: no member lies below FLAT_VIOLATION_FLOOR,
+    and circuits and family members sit at the span, so dense non-members are
+    rejected before the wide low ranks. Each matroid flat is visited once, at its
+    closure, where x = F ∩ G has the rank of F (a hyperplane's trace is space.spanned's
+    mask). A tabled s names x in its orbit table, fetched at the first read.
     """
-    # top-rank flats first: circuits and family members sit at the span, so
-    # dense non-members are rejected before the wide low-rank levels
-    for frank, s, flats, xs in _flat_levels(space, green):
-        tabled = _orbit_table(frank, s.q) if frank == s.r else None
-        if tabled is not None:
-            table, names = tabled
+    for frank, s, cs in _plans[space.r, space.q]:
+        if s is None:
+            s, cs = space, space.connected_spanning_table()
+            if cs is not None:
+                table, names = _orbit_table(frank, space.q)
+                return (bits(green), names[table[green] - 1]) if table[green] else None
+        flats = space.flats_of_rank(frank)
+        xs = map(green.__and__, flats) if s is space else space.hyperplane_traces(green)
+        if cs is not None:
+            table, names = _orbit_table(frank, s.q)
             for fmask, x in zip(flats, xs):
                 if table[x]:
                     return (bits(fmask & green), names[table[x] - 1])
@@ -303,7 +315,7 @@ def _match_forbidden(space, green: int):
 
 def decide_forbidden_flats(M: EmbeddedMatroid) -> Verdict:
     """Decide by scanning flats of M and of its complement for forbidden members."""
-    if M.rank > FLAT_RANK_CAP:
+    if M.space.r > FLAT_RANK_CAP and M.rank > FLAT_RANK_CAP:
         raise ResourceLimitError(
             f"forbidden-flat decision capped at rank {FLAT_RANK_CAP}, got {M.rank}")
     space, green = M.space.spanned(M.green_mask)
@@ -311,7 +323,7 @@ def decide_forbidden_flats(M: EmbeddedMatroid) -> Verdict:
         hit = _match_forbidden(*space.spanned(side))
         if hit is not None:
             return Verdict(False, "forbidden-flat", ("witness", side_name) + hit)
-    return Verdict(True, "forbidden-flat")
+    return _FORBIDDEN_POSITIVE
 
 
 # -------------------------------------------------------------------- replay
@@ -339,14 +351,12 @@ def verify_certificate(M: EmbeddedMatroid, verdict: Verdict) -> bool:
                 return False
         case "flat-criterion", ("violating-flat", members):
             fmask = _members_mask(space, members)
-            if fmask is None or space.closure_mask(fmask) != fmask:
+            if (fmask is None or space.closure_mask(fmask) != fmask
+                    or space.rank_of_mask(fmask) < FLAT_VIOLATION_FLOOR[space.q]):
                 return False
-            x = fmask & green
-            y = fmask & ~green
-            return (space.rank_of_mask(x) == space.rank_of_mask(y)
-                    and space.is_connected_mask(x)
-                    and space.is_connected_mask(y)
-                    and not verdict.is_comatroid)
+            x, y = fmask & green, fmask & ~green
+            return (not verdict.is_comatroid and space.rank_of_mask(x) == space.rank_of_mask(y)
+                    and space.is_connected_mask(x) and space.is_connected_mask(y))
         case "forbidden-flat", ("witness", "M" | "M^c" as side_name, members, entry):
             if side_name == "M^c":
                 space, green = space.spanned(space.full_mask ^ green)
@@ -354,7 +364,7 @@ def verify_certificate(M: EmbeddedMatroid, verdict: Verdict) -> bool:
             if x is None or space.closure_mask(x) & green != x:
                 return False
             hit = _classify_flat(space, x, space.rank_of_mask(x))
-            return hit == entry and not verdict.is_comatroid
+            return type(entry) is str and hit == entry and not verdict.is_comatroid
     return False
 
 

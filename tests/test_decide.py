@@ -3,6 +3,7 @@
 import hashlib
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from comatroid.decide import (
 from comatroid.errors import ResourceLimitError
 from comatroid.linalg import random_invertible
 from comatroid.matroid import EmbeddedMatroid, embed
-from comatroid.projective import PointSpace, iter_bits, point_space, popcount
+from comatroid.projective import MAX_SPACE_RANK, PointSpace, iter_bits, point_space, popcount
 
 from oracles import (
     FORBIDDEN_FLAT_SHA256,
@@ -215,6 +216,25 @@ def test_tampered_certificates_fail():
     assert_rejected_cold_and_warm(m, bad)
 
 
+class _Str(str):
+    """A name that claims to equal every other."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return True
+
+
+def test_replay_rejects_witness_names_that_are_no_plain_str():
+    # hit == entry would ask the subclass first, so any genuine witness could carry it
+    for m in (embed(circuit(5, 2)), embed(circuit(6, 2))):
+        w = decide_forbidden_flats(m)
+        kind, side, members, entry = w.certificate
+        assert verify_certificate(m, w)
+        forged = (kind, side, members, _Str("no such member"))
+        assert_rejected_cold_and_warm(m, Verdict(False, w.method, forged))
+
+
 @pytest.mark.parametrize("verdict", [
     Verdict(False, "flat-criterion", None),
     Verdict(False, "forbidden-flat", None),
@@ -337,6 +357,33 @@ def test_replay_rejects_forged_point_lists(case, forgery):
 def test_empty_point_list_reads_as_the_empty_mask():
     for m, _ in FORGERY_CASES.values():
         assert decide._members_mask(m.space, ()) == 0
+
+
+# Comatroids by decide_recursive: five points of the tabled PG(3,2), two points of
+# the tabled PG(2,3) and a line of the untabled PG(4,2)
+HOLE_INPUTS = {
+    "pg32-31": EmbeddedMatroid(point_space(4, 2), 31),
+    "pg23-5": EmbeddedMatroid(point_space(3, 3), 5),
+    "pg42-7": EmbeddedMatroid(point_space(5, 2), 7),
+}
+
+# Negative verdicts whose certificate names no violation: the empty flat, which lies
+# below FLAT_VIOLATION_FLOOR like every flat that cannot fail the criterion, and
+# witnesses whose entry None names no forbidden member
+HOLE_FORGERIES = {
+    "empty-flat": Verdict(False, "flat-criterion", ("violating-flat", ())),
+    "empty-witness": Verdict(False, "forbidden-flat", ("witness", "M", (), None)),
+    "empty-complement-witness": Verdict(False, "forbidden-flat", ("witness", "M^c", (), None)),
+    "point-witness": Verdict(False, "forbidden-flat", ("witness", "M", (0,), None)),
+}
+
+
+@pytest.mark.parametrize("forgery", HOLE_FORGERIES)
+@pytest.mark.parametrize("case", HOLE_INPUTS)
+def test_replay_rejects_negatives_naming_no_violation(case, forgery):
+    m = HOLE_INPUTS[case]
+    assert decide_recursive(m).is_comatroid
+    assert_rejected_cold_and_warm(m, HOLE_FORGERIES[forgery])
 
 
 def _rewrite_deepest(cert, rewrite):
@@ -828,6 +875,65 @@ def test_verdict_methods():
     assert decide_recursive(m).method == "recursive"
     assert decide_flat_criterion(m).method == "flat-criterion"
     assert decide_forbidden_flats(m).method == "forbidden-flat"
+
+
+def test_flat_positives_are_shared_frozen_verdicts():
+    comatroids = (embed(circuit(4, 2)), EmbeddedMatroid(point_space(3, 3), 5))
+    for decider in (decide_flat_criterion, decide_forbidden_flats):
+        first, second = map(decider, comatroids)
+        assert first is second and first == Verdict(True, first.method)
+        with pytest.raises(FrozenInstanceError):
+            first.is_comatroid = False
+        assert all(verify_certificate(m, first) for m in comatroids)
+
+
+def test_caps_read_the_matroid_rank_inside_a_larger_space():
+    """A rank-6 matroid in PG(7,2) is decided by all three deciders; a rank-7 one
+    by the recursion alone, the flat scans raising with their messages."""
+    big = point_space(8, 2)
+    six = EmbeddedMatroid(big, embed(circuit(7, 2)).green_mask)
+    seven = EmbeddedMatroid(big, embed(circuit(8, 2)).green_mask)
+    assert (six.rank, seven.rank) == (6, 7)
+    for decider in DECIDERS:
+        v = decider(six)
+        assert not v.is_comatroid and verify_certificate(six, v)
+    assert not decide_recursive(seven).is_comatroid
+    for decider, what in ((decide_flat_criterion, "flat criterion"),
+                          (decide_forbidden_flats, "forbidden-flat decision")):
+        with pytest.raises(ResourceLimitError, match=f"^{what} capped at rank 6, got 7$"):
+            decider(seven)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_level_plans(q):
+    """Per (r, q) the plan lists the ranks r down to FLAT_VIOLATION_FLOOR[q]; only the
+    hyperplanes carry a space, PG(r-2, q), with its connected_spanning_table."""
+    for r in range(MAX_SPACE_RANK + 1):
+        plan = decide._plans[r, q]
+        assert [k for k, _, _ in plan] == list(range(r, FLAT_VIOLATION_FLOOR[q] - 1, -1))
+        for k, s, cs in plan:
+            if k == r - 1:
+                assert s is point_space(k, q) and cs is s.connected_spanning_table()
+            else:
+                assert s is cs is None
+    assert len(decide._plans) <= 2 * (MAX_SPACE_RANK + 1)
+
+
+def test_flat_scans_read_a_space_built_outside_point_space(monkeypatch):
+    """A 7-circuit in a fresh PointSpace(6, 2) is scanned in that instance: only its
+    top level is built, the shared point_space(6, 2) builds no flats, and verdicts and
+    certificates equal those on the shared instance."""
+    shared = point_space(6, 2)
+    monkeypatch.setattr(shared, "_flats_by_rank", {})
+    on_shared = embed(circuit(7, 2))
+    assert on_shared.space is shared
+    fresh = EmbeddedMatroid(PointSpace(6, 2), on_shared.green_mask)
+    scans = (decide_flat_criterion, decide_forbidden_flats)
+    verdicts = [scan(fresh) for scan in scans]
+    assert set(fresh.space._flats_by_rank) == {6}
+    assert shared._flats_by_rank == {}
+    assert verdicts == [scan(on_shared) for scan in scans]
+    assert all(not v.is_comatroid and verify_certificate(fresh, v) for v in verdicts)
 
 
 def _spanning_comatroid(rng, q, r):
