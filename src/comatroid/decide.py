@@ -12,9 +12,11 @@ space.full_mask ^ green, and a component or a flat's green set is moved into
 its own span by PointSpace.spanned. Both flat scans walk one level plan per
 (r, q) (_plans): the hyperplanes read as traces in PG(r-2, q), the other levels
 in the space itself, and a level of tabled geometries one table byte per flat.
-Forbidden members are listed once per rank as masks (_member_masks): a flat's
-green set is screened by their sizes and, where no orbit table names it, by
-their hyperplane profiles before it is given a canonical key.
+Forbidden members are held in one table per (rank, q) (_member_table): their
+masks, sizes and hyperplane profiles, the orbit table of a tabled rank, and
+their canonical keys, filled on first read. A flat's green set is screened by
+the sizes and, where no orbit table names it, by the profiles before it is
+given a canonical key.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
 def forbidden_catalog(q: int) -> tuple[tuple[str, int, int, tuple], ...]:
     """Fixed forbidden-flat entries for GF(q) as sorted (name, rank, size, key).
 
-    _member_masks adds the circuit-with-U(2,4) family; _classify_flat tests circuits.
+    _MemberTable adds the circuit-with-U(2,4) family; _classify_flat tests circuits.
     """
     entries = []
     for name, pres in forbidden_fixed(q):
@@ -178,79 +180,72 @@ def forbidden_catalog(q: int) -> tuple[tuple[str, int, int, tuple], ...]:
     return tuple(sorted(entries))
 
 
-@lru_cache(maxsize=None)
-def _member_masks(rank: int, q: int) -> tuple[tuple[str, int, bool], ...]:
-    """The forbidden members of rank `rank` other than circuits, as (name, mask,
-    keyed) with mask spanning point_space(rank, q), each listed once.
-
-    First the circuit-with-U(2,4) family over GF(3), embedded unkeyed: a
-    k-circuit with d copies of U(2,4) two-summed on has rank k + d - 1, and d
-    of its k elements carry a copy, so k + d = rank + 1 with 1 <= d <= k and
-    k >= 3. Then the entries of forbidden_catalog(q) of that rank, in its
-    sorted order, each as its key's mask (keyed).
-    """
-    out = []
-    if q == 3:
-        for d in range(1, min((rank + 1) // 2, rank - 2) + 1):
-            k = rank + 1 - d
-            out.append((f"circuit with U(2,4) family (k={k}, d={d})",
-                        embed(circuit_with_u24(k, range(d))).green_mask, False))
-    out += [(name, key[2], True) for name, r, _, key in forbidden_catalog(q) if r == rank]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _members(rank: int, q: int) -> dict[tuple, str]:
-    """The members of _member_masks(rank, q) as {canonical key: name}; a key
-    listed twice keeps its first name. Only here is a family member keyed."""
-    space = point_space(rank, q)
-    out = {}
-    for name, mask, keyed in _member_masks(rank, q):
-        key = (q, rank, mask) if keyed else canonical_key(EmbeddedMatroid(space, mask))
-        out.setdefault(key, name)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _member_sizes(rank: int, q: int) -> frozenset[int]:
-    """The sizes of the members of _member_masks(rank, q)."""
-    return frozenset(popcount(mask) for _, mask, _ in _member_masks(rank, q))
-
-
 def _hyperplane_profile(space, x: int) -> tuple[int, ...]:
     """Sorted |x ∩ H| over the hyperplanes H of space, read off its dual rows: a linear
     map carries hyperplanes onto hyperplanes, so equivalent spanning sets share it."""
     return tuple(sorted([(x & h).bit_count() for h in space.dual_hyperplanes()]))
 
 
-@lru_cache(maxsize=None)
-def _member_profiles(rank: int, q: int) -> frozenset[tuple[int, ...]]:
-    """The hyperplane profiles of the members of _member_masks(rank, q)."""
-    space = point_space(rank, q)
-    return frozenset(_hyperplane_profile(space, mask) for _, mask, _ in _member_masks(rank, q))
+class _MemberTable:
+    """The forbidden members of rank `rank` over GF(q) other than circuits, built on
+    first use (_member_table): the one place that lists, screens, tables and keys them.
 
+    members holds (name, mask, keyed), each member listed once with mask spanning
+    point_space(rank, q). First the circuit-with-U(2,4) family over GF(3),
+    embedded unkeyed: a k-circuit with d copies of U(2,4) two-summed on has rank
+    k + d - 1, and d of its k elements carry a copy, so k + d = rank + 1 with
+    1 <= d <= k and k >= 3. Then the entries of forbidden_catalog(q) of that rank,
+    in its sorted order, each as its key's mask (keyed). sizes and profiles are
+    the members' sizes and hyperplane profiles, the screens a flat passes first.
 
-@lru_cache(maxsize=None)
-def _orbit_table(rank: int, q: int):
-    """_member_masks(rank, q), then the spanning circuits, over every mask of PG(rank-1, q).
-
-    Returns (table, names): table[mask] is 0 for no member and 1 + i for names[i].
-    Each member's orbit is walked from its mask, which lies in this same space, in
-    the order of _member_masks; an orbit already walked marks nothing more, so a
-    mask is named as the first equal key of _members would name it, and no member is
-    keyed. The spanning circuits of _MIN_CIRCUIT[q] points or more, frames, come
-    last. None above TABLE_POINT_CAP points: an orbit there can run to 10^5 masks.
+    Where PG(rank-1, q) has at most TABLE_POINT_CAP points, orbits is (table,
+    names) over every mask of it: table[mask] is 0 for no member and 1 + i for
+    names[i]. Each member's orbit is walked from its mask, which lies in this
+    same space, in the order of members; an orbit already walked marks nothing
+    more, so a mask is named as the first equal key of keys() would name it, and
+    no member is keyed. The spanning circuits of _MIN_CIRCUIT[q] points or more,
+    frames, come last. Above the cap orbits is None: an orbit there can run to
+    10^5 masks.
     """
-    space = point_space(rank, q)
-    if space.n > TABLE_POINT_CAP:
-        return None
-    members = _member_masks(rank, q)
-    if rank + 1 >= _MIN_CIRCUIT[q]:
-        members += ((f"circuit of size {rank + 1}", embed(circuit(rank + 1, q)).green_mask, False),)
-    table = bytearray(1 << space.n)
-    for i, (_, mask, _) in enumerate(members):
-        orbit_of(space, mask, table, 1 + i)
-    return table, tuple(name for name, _, _ in members)
+
+    def __init__(self, rank: int, q: int):
+        space = point_space(rank, q)
+        self.rank, self.q = rank, q
+        members = []
+        if q == 3:
+            for d in range(1, min((rank + 1) // 2, rank - 2) + 1):
+                k = rank + 1 - d
+                members.append((f"circuit with U(2,4) family (k={k}, d={d})",
+                                embed(circuit_with_u24(k, range(d))).green_mask, False))
+        members += [(name, key[2], True) for name, r, _, key in forbidden_catalog(q) if r == rank]
+        self.members = tuple(members)
+        self.sizes = frozenset(popcount(mask) for _, mask, _ in members)
+        self.profiles = frozenset(_hyperplane_profile(space, mask) for _, mask, _ in members)
+        self.orbits = None
+        if space.n <= TABLE_POINT_CAP:
+            tabled = self.members
+            if rank + 1 >= _MIN_CIRCUIT[q]:
+                tabled += ((f"circuit of size {rank + 1}", embed(circuit(rank + 1, q)).green_mask, False),)
+            table = bytearray(1 << space.n)
+            for i, (_, mask, _) in enumerate(tabled):
+                orbit_of(space, mask, table, 1 + i)
+            self.orbits = table, tuple(name for name, _, _ in tabled)
+        self._keys = None
+
+    def keys(self) -> dict[tuple, str]:
+        """The members as {canonical key: name}, filled on the first read; a key
+        listed twice keeps its first name. Only here is a family member keyed."""
+        if self._keys is None:
+            space = point_space(self.rank, self.q)
+            self._keys = {}
+            for name, mask, keyed in self.members:
+                key = (self.q, self.rank, mask) if keyed else canonical_key(EmbeddedMatroid(space, mask))
+                self._keys.setdefault(key, name)
+        return self._keys
+
+
+# one shared member table per (rank, q)
+_member_table = lru_cache(maxsize=None)(_MemberTable)
 
 
 def _classify_flat(space, x: int, rank: int) -> str | None:
@@ -267,19 +262,19 @@ def _classify_flat(space, x: int, rank: int) -> str | None:
     q = space.q
     if size == rank + 1 and size >= _MIN_CIRCUIT[q] and space.is_connected_mask(x):
         return f"circuit of size {size}"
-    if size not in _member_sizes(rank, q):
+    members = _member_table(rank, q)
+    if size not in members.sizes:
         return None
-    tabled = _orbit_table(rank, q)
-    if tabled is not None:
-        table, names = tabled
+    if members.orbits is not None:
+        table, names = members.orbits
         hit = table[space.spanned(x)[1]]
         return names[hit - 1] if hit else None
     if not space.is_connected_mask(x):
         return None
     sub, x = space.spanned(x)
-    if _hyperplane_profile(sub, x) not in _member_profiles(rank, q):
+    if _hyperplane_profile(sub, x) not in members.profiles:
         return None
-    return _members(rank, q).get(canonical_key(EmbeddedMatroid(sub, x)))
+    return members.keys().get(canonical_key(EmbeddedMatroid(sub, x)))
 
 
 def _match_forbidden(space, green: int):
@@ -295,12 +290,12 @@ def _match_forbidden(space, green: int):
         if s is None:
             s, cs = space, space.connected_spanning_table()
             if cs is not None:
-                table, names = _orbit_table(frank, space.q)
+                table, names = _member_table(frank, space.q).orbits
                 return (bits(green), names[table[green] - 1]) if table[green] else None
         flats = space.flats_of_rank(frank)
         xs = map(green.__and__, flats) if s is space else space.hyperplane_traces(green)
         if cs is not None:
-            table, names = _orbit_table(frank, s.q)
+            table, names = _member_table(frank, s.q).orbits
             for fmask, x in zip(flats, xs):
                 if table[x]:
                     return (bits(fmask & green), names[table[x] - 1])

@@ -24,7 +24,7 @@ from comatroid.decide import (
     FLAT_VIOLATION_FLOOR,
     Verdict,
     _classify_flat,
-    _orbit_table,
+    _member_table,
     decide_flat_criterion,
     decide_forbidden_flats,
     decide_recursive,
@@ -460,7 +460,7 @@ def test_deciders_and_replay_build_no_embedded_matroid(monkeypatch):
     replaying every coloring of PG(2,3) and a slice of PG(3,2) builds no
     EmbeddedMatroid."""
     for r, q in ((4, 2), (3, 3)):
-        _orbit_table(r, q)
+        _member_table(r, q)
     decide._rec_memo.clear()
     decide._replay_memo.clear()
     pg23, pg32 = point_space(3, 3), point_space(4, 2)
@@ -489,7 +489,7 @@ def test_rank6_ternary_size_without_family_member():
     assert space.rank_of_mask(x) == 6
     assert _classify_flat(space, x, 6) is None
     assert forbidden_name_by_key(EmbeddedMatroid(space, x)) is None
-    assert set(decide._members(6, 3).values()) == {
+    assert set(_member_table(6, 3).keys().values()) == {
         f"circuit with U(2,4) family (k={k}, d={d})" for k, d in ((6, 1), (5, 2), (4, 3))}
 
 
@@ -524,27 +524,9 @@ ORBIT_SIZES = {
 
 def test_orbit_table_sizes():
     for (r, q), want in ORBIT_SIZES.items():
-        table, names = _orbit_table(r, q)
+        table, names = _member_table(r, q).orbits
         counts = Counter(table)
         assert {names[i - 1]: c for i, c in counts.items() if i} == want
-
-
-def test_orbit_tables_match_key_oracle_on_tabled_spaces():
-    # every spanning mask whose rank and size are those of a tabled member
-    for (r, q), want in ORBIT_SIZES.items():
-        space = point_space(r, q)
-        sizes = {n for _, rank, n, _ in forbidden_catalog(q) if rank == r}
-        if q == 3:
-            sizes.add(5)  # the family member k=3, d=1
-            sizes.add(4)  # the spanning circuits
-        named_count = Counter()
-        for mask in range(1 << space.n):
-            if popcount(mask) not in sizes or space.rank_of_mask(mask) != r:
-                continue
-            got = _classify_flat(space, mask, r)
-            assert got == forbidden_name_by_key(EmbeddedMatroid(space, mask)), mask
-            named_count[got] += 1
-        assert {k: v for k, v in named_count.items() if k in want} == want
 
 
 @pytest.mark.parametrize("r,q", [(3, 2), (4, 2), (2, 3), (3, 3)])
@@ -555,13 +537,14 @@ def test_whole_space_level_tables_match_per_flat_tests(r, q):
     tables, and both scans of the space, which read only its top level when
     it is at most FLAT_VIOLATION_FLOOR, agree with the per-flat tests: ranks
     and components, and the key oracle on spanning masks of a size some
-    member or spanning circuit has."""
+    member or spanning circuit has. _classify_flat names every spanning mask
+    as the key oracle does."""
     space = point_space(r, q)
     assert r <= FLAT_VIOLATION_FLOOR[q]
     rank, connected, full = space.rank_of_mask, space.is_connected_mask, space.full_mask
     cs = space.connected_spanning_table()
-    table, names = _orbit_table(r, q)
-    sizes = decide._member_sizes(r, q) | ({r + 1} if r + 1 >= (6 if q == 2 else 4) else set())
+    table, names = _member_table(r, q).orbits
+    sizes = _member_table(r, q).sizes | ({r + 1} if r + 1 >= (6 if q == 2 else 4) else set())
     named_count = Counter()
     for x in range(1 << space.n):
         y = full ^ x
@@ -569,8 +552,10 @@ def test_whole_space_level_tables_match_per_flat_tests(r, q):
         assert bool(cs[x] and cs[y]) == fails, x
         assert list(decide._violating_flats(space, x)) == ([full] if fails else []), x
         want = None
-        if popcount(x) in sizes and rank(x) == r:
-            want = forbidden_name_by_key(EmbeddedMatroid(space, x))
+        if rank(x) == r:
+            if popcount(x) in sizes:
+                want = forbidden_name_by_key(EmbeddedMatroid(space, x))
+            assert _classify_flat(space, x, r) == want, x
         assert (names[table[x] - 1] if table[x] else None) == want, x
         hit = decide._match_forbidden(space, x)
         assert hit == (None if want is None else (tuple(iter_bits(x)), want)), x
@@ -601,12 +586,12 @@ def test_member_masks_sizes_and_profiles_match_keys():
     # both must agree with the canonical keys the untabled lookup compares
     for q, ranks in ((2, (4, 5, 6)), (3, (3, 4, 5, 6))):
         for rank in ranks:
-            keys = decide._members(rank, q)
-            assert decide._member_sizes(rank, q) == {popcount(k[2]) for k in keys}
+            members = _member_table(rank, q)
+            keys = members.keys()
+            assert members.sizes == {popcount(k[2]) for k in keys}
             space = point_space(rank, q)
-            profiles = decide._member_profiles(rank, q)
             for key in keys:
-                assert decide._hyperplane_profile(space, key[2]) in profiles
+                assert decide._hyperplane_profile(space, key[2]) in members.profiles
 
 
 def test_profile_gate_matches_key_oracle_on_untabled_spaces():
@@ -615,11 +600,11 @@ def test_profile_gate_matches_key_oracle_on_untabled_spaces():
     for r, q, seed in ((5, 2, 41), (4, 3, 42)):
         space = point_space(r, q)
         rng = random.Random(seed)
-        sizes = sorted(decide._member_sizes(r, q) | {r + 1})
+        sizes = sorted(_member_table(r, q).sizes | {r + 1})
         masks = [space.mask_of(rng.sample(range(space.n), rng.choice(sizes)))
                  for _ in range(150)]
         masks = [x for x in masks if space.is_connected_mask(x)]
-        for mask in decide._members(r, q):
+        for mask in _member_table(r, q).keys():
             for _ in range(5):
                 m = apply_linear_map(EmbeddedMatroid(space, mask[2]),
                                      random_invertible(r, q, rng))
@@ -629,12 +614,73 @@ def test_profile_gate_matches_key_oracle_on_untabled_spaces():
             got = _classify_flat(space, x, space.rank_of_mask(x))
             assert got == forbidden_name_by_key(EmbeddedMatroid(space, x)), x
             named_count[got] += 1
-        assert set(decide._members(r, q).values()) <= set(named_count)
+        assert set(_member_table(r, q).keys().values()) <= set(named_count)
         # a member on a flat below the span is screened in the flat's own span
         big = point_space(r + 1, q)
-        for key, name in decide._members(r, q).items():
+        for key, name in _member_table(r, q).keys().items():
             x = big.mask_of(big.index[space.points[i] + (0,)] for i in iter_bits(key[2]))
             assert _classify_flat(big, x, r) == name
+
+
+# The circuit-with-U(2,4) family members (k, d) of each untabled ternary rank
+FAMILY = {4: ((4, 1), (3, 2)), 5: ((5, 1), (4, 2), (3, 3))}
+
+
+def test_member_keys_stay_lazy(monkeypatch):
+    """A member table keys its members only when a flat passes the size,
+    connectivity and profile screens of an untabled rank, and then keys just
+    the family members, as the catalog entries carry their keys; a tabled
+    rank keys nothing, so neither does deciding every coloring of PG(2,3)."""
+    for q in (2, 3):
+        forbidden_catalog(q)  # keys the catalog entries, once per process
+    keyed = []
+    key = decide.canonical_key
+    monkeypatch.setattr(decide, "canonical_key",
+                        lambda m: keyed.append(m.green_mask) or key(m))
+    decide._member_table.cache_clear()
+    rng = random.Random(43)
+    for r, family in FAMILY.items():
+        space = point_space(r, 3)
+        masks = [embed(circuit_with_u24(k, range(d))).green_mask for k, d in family]
+        sizes = set(map(popcount, masks))
+        profiles = {decide._hyperplane_profile(space, x) for x in masks}
+
+        def spanning(size, want):
+            while True:
+                x = space.mask_of(rng.sample(range(space.n), size))
+                if space.rank_of_mask(x) == r and want(x):
+                    return x
+
+        # a full line beside a spanning set of a complementary flat
+        rest = point_space(r - 2, 3)
+        other = next(x for x in range(1 << rest.n)
+                     if popcount(x) == min(sizes) - 4 and rest.rank_of_mask(x) == r - 2)
+        line = EmbeddedMatroid(point_space(2, 3), point_space(2, 3).full_mask)
+        disconnected = line.direct_sum(EmbeddedMatroid(rest, other)).green_mask
+        assert not space.is_connected_mask(disconnected)
+        screened = spanning(min(sizes), lambda x: space.is_connected_mask(x)
+                            and decide._hyperplane_profile(space, x) not in profiles)
+        for x in (spanning(max(sizes) + 1, lambda x: True), disconnected, screened):
+            assert _classify_flat(space, x, r) is None
+        assert keyed == []
+        (k, d), member = family[0], masks[0]
+        image = apply_linear_map(EmbeddedMatroid(space, member), random_invertible(r, 3, rng))
+        name = f"circuit with U(2,4) family (k={k}, d={d})"
+        assert _classify_flat(space, image.green_mask, r) == name
+        assert keyed == masks + [image.green_mask]
+        keyed.clear()
+        assert _classify_flat(space, member, r) == name
+        assert keyed == [member]
+        keyed.clear()
+    decide._member_table.cache_clear()
+    decide._rec_memo.clear()
+    decide._replay_memo.clear()
+    pg23 = point_space(3, 3)
+    for mask in range(1 << pg23.n):
+        m = EmbeddedMatroid(pg23, mask)
+        for decider in DECIDERS:
+            assert verify_certificate(m, decider(m))
+    assert keyed == []
 
 
 def test_forbidden_verdicts_match_pinned_digest():
@@ -707,7 +753,7 @@ def test_forbidden_floor_is_the_least_member_rank():
         # catalog entries reach down to the floor and no further
         assert min(rank for _, rank, _, _ in forbidden_catalog(q)) == floor
         for k in range(1, floor):
-            assert _orbit_table(k, q)[1] == (), (k, q)
+            assert _member_table(k, q).orbits[1] == (), (k, q)
         assert embed(circuit(6 if q == 2 else 4, q)).rank >= floor
     # the least circuit-with-U(2,4) member sits at the GF(3) floor
     assert embed(circuit_with_u24(3, (0,))).rank == 3
