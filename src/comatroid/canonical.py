@@ -29,13 +29,15 @@ from functools import lru_cache
 from .errors import ResourceLimitError
 from .linalg import mat_apply, normalize, vec_add, vec_scale
 from .matroid import EmbeddedMatroid
-from .projective import PointSpace, iter_bits, point_space, subset_ors
+from .projective import PointSpace, iter_bits, point_space, remember, subset_ors
 
 MAX_CANONICAL_RANK = 6
 
+# (r, q, green) of a spanning green set -> its key, capped by remember
 _key_memo: dict[tuple[int, int, int], tuple] = {}
 
 
+# unbounded but finite: one table per r = 1..MAX_CANONICAL_RANK and q = 2, 3
 @lru_cache(maxsize=None)
 def _flag_table(r: int, q: int):
     """Per-level decomposition of the points against the reversed-standard-basis flag.
@@ -86,7 +88,7 @@ class _CodeSums(dict):
         return row
 
 
-# one shared table per space
+# one shared table per space: unbounded but finite, r = 1..MAX_CANONICAL_RANK and q = 2, 3
 _code_sums = lru_cache(maxsize=None)(_CodeSums)
 
 
@@ -153,9 +155,7 @@ def canonical_key(M: EmbeddedMatroid) -> tuple:
                         extend(depth + 1, grown, new_span)
 
     extend(1, 0, 0)
-    result = (q, r, best[0])
-    _key_memo[memo_key] = result
-    return result
+    return remember(_key_memo, memo_key, (q, r, best[0]))
 
 
 def _mask_less(a: int, b: int) -> bool:
@@ -173,6 +173,7 @@ def point_permutation(space: PointSpace, mat) -> tuple[int, ...]:
     )
 
 
+# unbounded but finite: one entry per space, r = 0..MAX_SPACE_RANK and q = 2, 3
 @lru_cache(maxsize=None)
 def _generator_images(r: int, q: int) -> tuple[tuple[list[int], ...], ...]:
     """Per generator of the linear group, the images of each byte of a mask.

@@ -234,6 +234,8 @@ class ExtensionScan:
         return "\n".join(lines) + "\n"
 
 
+# unbounded but finite: points and budget are at most PG(4,2)'s 31 points, so at
+# most 32 * 32 entries
 @lru_cache(maxsize=None)
 def _subtree_size(points: int, budget: int) -> int:
     """Nodes of a search subtree: its root plus each way to add at most budget

@@ -28,7 +28,7 @@ from .canonical import canonical_key, orbit_of
 from .catalog import circuit, circuit_with_u24, forbidden_fixed
 from .errors import ResourceLimitError
 from .matroid import EmbeddedMatroid, embed
-from .projective import TABLE_POINT_CAP, bits, point_space, popcount
+from .projective import TABLE_POINT_CAP, bits, point_space, popcount, remember
 
 RECURSIVE_RANK_CAP = 7
 FLAT_RANK_CAP = 6
@@ -61,11 +61,13 @@ _FORBIDDEN_POSITIVE = Verdict(True, "forbidden-flat")
 
 # ---------------------------------------------------------------- recursive
 
+# (r, q, green) of a spanning green set reached by a nested call -> (decision, trace)
 _rec_memo: dict[tuple[int, int, int], tuple[bool, tuple]] = {}
 
 
-def _decide_rec(space, green: int) -> tuple[bool, tuple]:
-    """Decision and trace for a green set spanning space."""
+def _decide_rec(space, green: int, store: bool = True) -> tuple[bool, tuple]:
+    """Decision and trace for a green set spanning space, through _rec_memo; stored
+    there only if store (see decide_recursive)."""
     key = (space.r, space.q, green)
     got = _rec_memo.get(key)
     if got is not None:
@@ -89,16 +91,21 @@ def _decide_rec(space, green: int) -> tuple[bool, tuple]:
         else:
             good, cert = _decide_rec(*space.spanned(red))
             out = (good, ("complement", cert))
-    _rec_memo[key] = out
-    return out
+    return remember(_rec_memo, key, out) if store else out
 
 
 def decide_recursive(M: EmbeddedMatroid) -> Verdict:
-    """Decide by unwinding complements and direct-sum components to the empty base."""
+    """Decide by unwinding complements and direct-sum components to the empty base.
+
+    Every sub-matroid the unwinding reaches is memoized in _rec_memo, and its
+    trace is shared by every trace that reaches it again. M itself is looked up
+    there but not stored: top-level inputs rarely repeat, and their entries
+    would only cost memory (the rule verify_certificate keeps for _replay_memo).
+    """
     if M.space.r > RECURSIVE_RANK_CAP and M.rank > RECURSIVE_RANK_CAP:
         raise ResourceLimitError(
             f"recursive decision capped at rank {RECURSIVE_RANK_CAP}, got {M.rank}")
-    ok, cert = _decide_rec(*M.space.spanned(M.green_mask))
+    ok, cert = _decide_rec(*M.space.spanned(M.green_mask), store=False)
     return Verdict(ok, "recursive", cert)
 
 
@@ -167,6 +174,7 @@ def decide_flat_criterion(M: EmbeddedMatroid) -> Verdict:
 
 # ---------------------------------------------------------- forbidden flats
 
+# unbounded but finite: one entry per field q = 2, 3
 @lru_cache(maxsize=None)
 def forbidden_catalog(q: int) -> tuple[tuple[str, int, int, tuple], ...]:
     """Fixed forbidden-flat entries for GF(q) as sorted (name, rank, size, key).
@@ -244,7 +252,8 @@ class _MemberTable:
         return self._keys
 
 
-# one shared member table per (rank, q)
+# one shared member table per (rank, q): unbounded but finite, as a flat's rank runs
+# over 0..MAX_SPACE_RANK (8), so at most 18 tables
 _member_table = lru_cache(maxsize=None)(_MemberTable)
 
 
@@ -332,7 +341,8 @@ def verify_certificate(M: EmbeddedMatroid, verdict: Verdict) -> bool:
     identity of their certificate object, not by its value, which cannot tell
     a forged 1.0 from a point index 1 (see _replay). The whole trace is looked
     up there too but not stored: top-level inputs rarely repeat, and their
-    entries would only cost memory.
+    entries would only cost memory. decide_recursive stores in _rec_memo by the
+    same rule, so the subtrees replayed here are the objects held there.
     """
     cert = verdict.certificate
     if cert is None:
@@ -389,8 +399,9 @@ def _replay(space, green: int, cert, store: bool = True) -> bool:
     equal one: == and hash cannot tell 1.0 from 1, so a value key would let a
     trace whose member lists hold floats borrow the verdict of the genuine
     trace. Certificates are built of plain tuples only (_replay_rec checks
-    this), so an object replays the same way every time, and the memo keeps it
-    alive, so its identity is never reused.
+    this), so an object replays the same way every time, and an entry keeps its
+    certificate alive, so that identity is not reused while the entry is held;
+    emptying a full memo (remember) drops both together.
     """
     key = (space.r, space.q, green)
     got = _replay_memo.get(key)
@@ -402,7 +413,7 @@ def _replay(space, green: int, cert, store: bool = True) -> bool:
         except _ReplayError:
             out = None
         if store:
-            _replay_memo[key] = (cert, out)
+            remember(_replay_memo, key, (cert, out))
     if out is None:
         raise _ReplayError
     return out

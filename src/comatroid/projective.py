@@ -38,6 +38,18 @@ MAX_SPACE_RANK = 8
 # colorings are enumerated or tabled whole.
 TABLE_POINT_CAP = 15
 _FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # memoryview formats of padded field widths
+# Most entries a memo that grows with its inputs may hold (see remember). No benchmark
+# workload reaches it: the largest, sweep's, hold about 8k entries.
+MEMO_CAP = 1 << 16
+
+
+def remember(memo: dict, key, value):
+    """Store value under key in memo, emptied first if it holds MEMO_CAP entries, and
+    return value. Called on a miss only, so a hit stays one dict.get."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def iter_bits(mask: int):
@@ -104,11 +116,13 @@ class PointSpace:
         self._connected_spanning: bytes | None = None
         self._duals: list[int] | None = None
         self._packed_incidence: tuple[int, tuple[int, ...], list | None] | None = None
+        # memos that grow with the masks asked about, each capped by remember
         self._closure_memo: dict[int, int] = {}
         self._components_memo: dict[int, tuple[int, ...]] = {}
         self._vc_memo: dict[int, int] = {}
-        self._flats_by_rank: dict[int, tuple[int, ...]] = {}
         self._embeddings: dict[int, tuple["PointSpace", dict[int, int]]] = {}
+        # bounded by its r + 1 levels
+        self._flats_by_rank: dict[int, tuple[int, ...]] = {}
         self._lines: list[list[int] | None] = [None] * self.n
         self._sums: list[list[tuple[int, ...] | None] | None] = [None] * self.n
         if self.n <= TABLE_POINT_CAP:
@@ -254,8 +268,7 @@ class PointSpace:
             return self._closure_table[mask]
         got = self._closure_memo.get(mask)
         if got is None:
-            got = self._span(mask)
-            self._closure_memo[mask] = got
+            got = remember(self._closure_memo, mask, self._span(mask))
         return got
 
     def mask_of(self, members) -> int:
@@ -361,9 +374,7 @@ class PointSpace:
                     rest.append(other)
             rest.append(block)
             blocks = rest
-        got = tuple(sorted(blocks))
-        self._components_memo[mask] = got
-        return got
+        return remember(self._components_memo, mask, tuple(sorted(blocks)))
 
     def is_connected_mask(self, mask: int) -> bool:
         """Whether the restriction to mask is connected; tabled spaces read a table."""
@@ -410,8 +421,7 @@ class PointSpace:
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        self._vc_memo[mask] = best
-        return best
+        return remember(self._vc_memo, mask, best)
 
     # ------------------------------------------------------------ embeddings
 
@@ -462,9 +472,7 @@ class PointSpace:
             rest &= ~flat
         if flat != flat_mask:
             raise ValueError(f"mask {flat_mask:#x} is not a flat of {self!r}")
-        got = (sub, mapping)
-        self._embeddings[flat_mask] = got
-        return got
+        return remember(self._embeddings, flat_mask, (sub, mapping))
 
     def _pack_incidence(self) -> tuple[int, tuple[int, ...], list[list[int]] | None]:
         """(width, packed, tables): the space's one hyperplane incidence. Per point p,
@@ -552,6 +560,7 @@ class PointSpace:
                      for p in range(self.n)]
 
 
+# unbounded but finite: one space per r = 0..MAX_SPACE_RANK and q = 2, 3
 @lru_cache(maxsize=None)
 def point_space(r: int, q: int) -> PointSpace:
     """Shared PointSpace instance for PG(r-1, q)."""

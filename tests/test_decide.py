@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comatroid import decide
-from comatroid.canonical import apply_linear_map
+from comatroid import canonical, decide, projective
+from comatroid.canonical import apply_linear_map, canonical_key
 from comatroid.catalog import (
     FIVE_VERTEX_GRAPHS,
     catalog_names,
@@ -452,6 +452,86 @@ def test_replay_memo_warm_equals_cold(monkeypatch):
         cold.append(verify_certificate(m, v))
     assert warm == cold == [kind == "genuine" for _, _, kind in cases]
     assert warm_calls < calls[0] - warm_calls
+
+
+def _capped_memos():
+    """Every memo that remember caps: the process-wide ones, and those of each shared
+    space the inputs below reach."""
+    spaces = [point_space(r, q) for q in (2, 3) for r in range(6)]
+    return [decide._rec_memo, decide._replay_memo, canonical._key_memo] + [
+        memo for s in spaces
+        for memo in (s._closure_memo, s._components_memo, s._vc_memo, s._embeddings)]
+
+
+def test_memo_cap_never_changes_an_answer(monkeypatch):
+    """With MEMO_CAP at 1 and at 8, the three deciders and their replays answer as
+    uncapped on every coloring of PG(2,3), a stride of PG(3,2) (with canonical keys and
+    vertical connectivity there) and seeded spanning comatroids of PG(4,2) and PG(3,3)
+    with their one-point flips; and no memo holds more than the cap after any input."""
+    pg23, pg32 = point_space(3, 3), point_space(4, 2)
+    inputs = [(EmbeddedMatroid(pg23, mask), False) for mask in range(1 << pg23.n)]
+    inputs += [(EmbeddedMatroid(pg32, mask), True) for mask in range(0, 1 << pg32.n, 61)]
+    for r, q, seed in ((5, 2, 71), (4, 3, 72)):
+        rng = random.Random(seed)
+        for _ in range(40):
+            m = apply_linear_map(_spanning_comatroid(rng, q, r), random_invertible(r, q, rng))
+            inputs += [(m, False),
+                       (EmbeddedMatroid(m.space, m.green_mask ^ (1 << rng.randrange(m.space.n))), False)]
+
+    def answers(cap):
+        for memo in _capped_memos():
+            memo.clear()
+        out = []
+        for m, keyed in inputs:
+            verdicts = [decider(m) for decider in DECIDERS]
+            answer = repr((verdicts, [verify_certificate(m, v) for v in verdicts]))
+            if keyed:
+                answer += repr((canonical_key(m), pg32.vertical_connectivity_mask(m.green_mask)))
+            out.append(answer)
+            if cap is not None:
+                assert max(map(len, _capped_memos())) <= cap
+        return out
+
+    uncapped = answers(None)
+    for cap in (1, 8):
+        monkeypatch.setattr(projective, "MEMO_CAP", cap)
+        assert answers(cap) == uncapped
+
+
+def _nested_keys(space, green, cert):
+    """The _rec_memo keys of the sub-matroids a recursive trace on (space, green) reaches."""
+    match cert:
+        case ("components", children):
+            subs = [(space.spanned(space.mask_of(members)), sub) for members, sub in children]
+        case ("complement", sub):
+            subs = [(space.spanned(space.full_mask ^ green), sub)]
+        case _:
+            subs = []
+    for (s, g), sub in subs:
+        yield (s.r, s.q, g)
+        yield from _nested_keys(s, g, sub)
+
+
+def test_recursive_stores_nested_decisions_only():
+    """decide_recursive stores the sub-matroids its unwinding reaches, not its input:
+    the input's key is absent from _rec_memo, the nested keys are present, and a
+    second call gives an equal verdict. An input first reached as a nested sub-matroid
+    is still read from the memo when it is decided at the top."""
+    pg32 = point_space(4, 2)
+    # a green set whose red side spans and is disconnected, so the red side is nested
+    m = EmbeddedMatroid(pg32, pg32.full_mask ^ embed(circuit(3, 2)).direct_sum(
+        embed(circuit(3, 2))).green_mask)
+    red = pg32.full_mask ^ m.green_mask
+    assert pg32.rank_of_mask(red) == 4 and not pg32.is_connected_mask(red)
+    decide._rec_memo.clear()
+    v = decide_recursive(m)
+    nested = set(_nested_keys(pg32, m.green_mask, v.certificate))
+    assert (4, 2, red) in nested and (4, 2, m.green_mask) not in nested
+    assert set(decide._rec_memo) == nested
+    assert decide_recursive(m) == v
+    assert (4, 2, m.green_mask) not in decide._rec_memo
+    # the red side was stored as nested: deciding it reads that entry, trace and all
+    assert decide_recursive(EmbeddedMatroid(pg32, red)).certificate is v.certificate[1]
 
 
 def test_deciders_and_replay_build_no_embedded_matroid(monkeypatch):
