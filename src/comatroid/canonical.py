@@ -33,7 +33,9 @@ from .projective import PointSpace, iter_bits, point_space, remember, subset_ors
 
 MAX_CANONICAL_RANK = 6
 
-# (r, q, green) of a spanning green set -> its key, capped by remember
+# (r, q, green) of a spanning green set -> its key, capped by remember; without it
+# comatroid verify took 4.71 s CPU against 3.27 s (medians of 3 pairs, 2 cores, Python
+# 3.11.7), while sweep and decide-mix did not move past host noise
 _key_memo: dict[tuple[int, int, int], tuple] = {}
 
 

@@ -2,16 +2,15 @@
 
 Points are normalized coordinate tuples (first nonzero coordinate 1) in
 lexicographic order, addressed by index. Point sets are int bitmasks over
-those indices. Joining a point to a flat adds the point and the rest of each
-line through it and a point of the flat. The lines are read from per-point rows
-that are filled one line at a time as joins need them; an entry holds the
-line's other points as a mask and, for the embeddings, labelled by the sums of
-the two point vectors that they are multiples of. Joins serve the embedding of
-a flat onto its own geometry, the flats up to rank r/2 and the contraction
-along a point. Each point's dual row, the mask of its dual hyperplane, is
-bit-sliced from the coordinates. The flats above r/2 are meets of dual rows, and
+those indices. Each point's dual row, the mask of its dual hyperplane, is
+bit-sliced from the coordinates, and the dual rows are the one incidence
+mechanism: every flat is the meet of the dual rows of the reduced echelon basis
+of its orthogonal complement, so each flat of a level is built exactly once, and
 on untabled spaces closure, rank and components come from passes over a mask's
 rows: the dot product is nondegenerate, so a span is its orthogonal's orthogonal.
+The embedding of a flat onto its own geometry and the contraction along a point
+also read the labelled sums of two points' line (_line_sums), filled one line at
+a time as they are asked for.
 Spaces with at most 15 points read closure, rank and connectivity from tables
 over every mask instead, all read off their flats when the space is built.
 The one hyperplane incidence packs each point's images under the hyperplanes'
@@ -20,8 +19,8 @@ table per byte of a mask: a mask's traces are one read per byte, cut into fields
 by one cast, and a point's (hyperplane, bit) pairs are its int's bits. Lazy tables
 live in attributes set in __init__, never in a cached_property, whose write to the
 instance __dict__ makes CPython 3.11 drop the fast path of every later attribute
-load on the instance. Coordinates are read only where a line is filled and where
-the dual rows are built; no step eliminates.
+load on the instance. Coordinates are read only where a line's sums are filled,
+where the dual rows are built and where an echelon row is named; no step eliminates.
 """
 
 from __future__ import annotations
@@ -116,14 +115,18 @@ class PointSpace:
         self._connected_spanning: bytes | None = None
         self._duals: list[int] | None = None
         self._packed_incidence: tuple[int, tuple[int, ...], list | None] | None = None
-        # memos that grow with the masks asked about, each capped by remember
+        # memos that grow with the masks asked about, each capped by remember; each
+        # comment gives what dropping the memo cost (2 cores, Python 3.11.7):
+        # mixed rank-5 and rank-6 decisions ran about 4.3x slower
         self._closure_memo: dict[int, int] = {}
+        # sweep read 10% fewer items/s with it skipped on tabled spaces
         self._components_memo: dict[int, tuple[int, ...]] = {}
+        # comatroid verify took 5.46 s CPU against 3.55 s (medians of 6 pairs)
         self._vc_memo: dict[int, int] = {}
+        # sweep read 32% fewer items/s and decide-mix p50 rose 0.090 -> 0.113 ms (3 of 3 pairs)
         self._embeddings: dict[int, tuple["PointSpace", dict[int, int]]] = {}
         # bounded by its r + 1 levels
         self._flats_by_rank: dict[int, tuple[int, ...]] = {}
-        self._lines: list[list[int] | None] = [None] * self.n
         self._sums: list[list[tuple[int, ...] | None] | None] = [None] * self.n
         if self.n <= TABLE_POINT_CAP:
             self._build_tables()
@@ -133,64 +136,32 @@ class PointSpace:
 
     # ------------------------------------------------------------------ lines
 
-    def _join(self, flat: int, x: int) -> int:
-        """The flat spanned by a flat and a point x outside it.
-
-        Row x of `_lines`, allocated on the first join with x, holds at i the
-        mask of the other points on the line through i and x, filled by
-        `_fill_line` on first use; a line has at least three points, so 0
-        marks an entry not yet filled. Rows are never filled ahead of use:
-        that is O(n^2) work and memory up front, most of it never read.
-        """
-        row = self._lines[x]
-        if row is None:
-            row = self._new_rows(x)
-        new = flat | (1 << x)
-        rest = flat
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            extra = row[i]
-            if not extra:
-                extra = self._fill_line(i, x)
-            new |= extra
-            rest ^= low
-        return new
-
-    def _new_rows(self, x: int) -> list[int]:
-        self._sums[x] = [None] * self.n
-        row = self._lines[x] = [0] * self.n
-        return row
-
-    def _fill_line(self, i: int, x: int) -> int:
-        """Fill entry i of row x in `_lines` and `_sums`; returns the `_lines` mask.
-
-        The `_sums` entry labels the other points y of the line through i and
-        x by c = 1..q-1 in one flat tuple: at 2c - 2 and 2c - 1 it holds y and
-        nu with v_i + c*v_x = nu*v_y for the point vectors v.
-        """
-        u, v = self.points[i], self.points[x]
-        if self.q == 2:
-            sums = (self.index[tuple(a ^ b for a, b in zip(u, v))], 1)
-        else:
-            sums = ()
-            for w in (tuple((a + b) % 3 for a, b in zip(u, v)),
-                      tuple((a - b) % 3 for a, b in zip(u, v))):
-                nu = next(filter(None, w))
-                # nu is 1 or 2, its own inverse
-                sums += (self.index[w if nu == 1 else vec_scale(2, w, 3)], nu)
-        extra = sum(1 << y for y in sums[::2])
-        self._lines[x][i] = extra
-        self._sums[x][i] = sums
-        return extra
-
     def _line_sums(self, i: int, x: int) -> tuple[int, ...]:
-        """The `_sums` entry of the line through i and x, filled if need be."""
-        if self._sums[x] is None:
-            self._new_rows(x)
-        if self._sums[x][i] is None:
-            self._fill_line(i, x)
-        return self._sums[x][i]
+        """The other points y of the line through points i != x, labelled by c = 1..q-1 in
+        one flat tuple: at 2c - 2 and 2c - 1 it holds y and nu with v_i + c*v_x = nu*v_y
+        for the point vectors v.
+
+        Row x of `_sums` is allocated on the first call with x and entry i filled on
+        first use, never ahead of use: that is O(n^2) work and memory up front, most of
+        it never read.
+        """
+        row = self._sums[x]
+        if row is None:
+            row = self._sums[x] = [None] * self.n
+        sums = row[i]
+        if sums is None:
+            u, v = self.points[i], self.points[x]
+            if self.q == 2:
+                sums = (self.index[tuple(a ^ b for a, b in zip(u, v))], 1)
+            else:
+                sums = ()
+                for w in (tuple((a + b) % 3 for a, b in zip(u, v)),
+                          tuple((a - b) % 3 for a, b in zip(u, v))):
+                    nu = next(filter(None, w))
+                    # nu is 1 or 2, its own inverse
+                    sums += (self.index[w if nu == 1 else vec_scale(2, w, 3)], nu)
+            row[i] = sums
+        return sums
 
     def _span(self, mask: int) -> int:
         """The closure of mask, (mask^⊥)^⊥; the second pass stops at a basis of mask^⊥."""
@@ -282,13 +253,14 @@ class PointSpace:
     def flats_of_rank(self, k: int) -> tuple[int, ...]:
         """Masks of all projective flats of rank k, sorted.
 
-        Up to rank r/2, flats of rank k - 1 are joined with the points above
-        their highest: a flat is the join of its highest point with any of its
-        hyperplanes missing that point, whose points all lie below it. Above
-        r/2, the dual rows of a basis of each flat of rank r - k are ANDed: the
-        orthogonal complement is a bijection from the flats of rank r - k onto
-        those of rank k, and a span's complement is its points' complements' meet.
-        The top flat is the whole space.
+        A flat of rank k is the orthogonal complement of one subspace of rank
+        r - k, and the meet of the dual rows of any basis of it. Each subspace
+        has exactly one basis in reduced row echelon form: pivot columns
+        p_1 < ... < p_{r-k}, row j 1 at p_j, 0 before p_j and at the other
+        pivots, free elsewhere. Such a row is a normalized point vector, so the
+        walk over pivot sets and free entries builds each flat exactly once. The
+        empty flat and the whole space are read off directly: the top level
+        builds no dual rows.
         """
         if not 0 <= k <= self.r:
             return ()
@@ -297,14 +269,17 @@ class PointSpace:
             return got
         if k in (0, self.r):
             got = (self.full_mask if k else 0,)
-        elif 2 * k <= self.r:
-            got = tuple(sorted({
-                self._join(f, p)
-                for f in self.flats_of_rank(k - 1)
-                for p in range(f.bit_length(), self.n)
-            }))
         else:
-            got = tuple(sorted(self._dual_pass(g, self.r - k)[0] for g in self.flats_of_rank(self.r - k)))
+            r, duals, flats = self.r, self.dual_hyperplanes(), []
+            for pivots in itertools.combinations(range(r), r - k):
+                meets = [self.full_mask]
+                for p in pivots:
+                    entries = [(1,) if j == p else (0,) if j < p or j in pivots else range(self.q)
+                               for j in range(r)]
+                    rows = [duals[self.index[row]] for row in itertools.product(*entries)]
+                    meets = [m & d for m in meets for d in rows]
+                flats += meets
+            got = tuple(sorted(flats))
         self._flats_by_rank[k] = got
         return got
 
@@ -431,10 +406,10 @@ class PointSpace:
         Returns the small space PG(k-1, q) and the index map defined on every
         point of the flat. The map sends the flat's greedy basis b_1..b_k, each
         the lowest point of the flat outside the span of those before it, to
-        the unit points e_1..e_k, and is built by the joins of that span with
-        no coordinates: each point y that joins with b_j has
+        the unit points e_1..e_k, and is built from the lines through b_j and
+        the span so far with no coordinates: each point y that b_j adds has
         v_i + c*v_{b_j} = nu*v_y for one earlier point i and one c in 1..q-1
-        (read from `_sums`), and goes to img(i) + mu_i*c*e_j, read from the
+        (read from _line_sums), and goes to img(i) + mu_i*c*e_j, read from the
         small space's own row for e_j. Here the coordinates of v_i on the
         basis are mu_i times img(i): mu is 1 on the basis and mu_y = nu*mu_i,
         as every unit of GF(2) and GF(3) is its own inverse. Over GF(2) every
@@ -540,24 +515,30 @@ class PointSpace:
         """Projection of the whole space along point e onto PG(r-2, q).
 
         The greedy basis grown from e (each next point the lowest outside the
-        span so far) spans, without e, a hyperplane H missing e. Each point
-        p != e goes to the image under flat_embedding(H) of the point where
-        the line through e and p meets H, which is p itself when p lies in H.
+        span so far) is read as in _dual_pass: the points, in index order, that
+        cut the meet of dual rows started at e's. Without e it spans a
+        hyperplane H missing e. Each point p != e goes to the image under
+        flat_embedding(H) of the point where the line through e and p meets H:
+        p itself when p lies in H, else the one other point of that line in H.
         The embedding's greedy basis of H is that basis without e, so the
         image drops p's coordinate on e: for spanning restrictions it realizes
         contraction of e.
         """
-        flat, basis = 1 << e, 0
-        while flat != self.full_mask:
-            rest = self.full_mask & ~flat
-            x = (rest & -rest).bit_length() - 1
-            basis |= 1 << x
-            flat = self._join(flat, x)
+        duals = self.dual_hyperplanes()
+        perp, basis = duals[e], 0
+        for x in range(self.n):
+            if perp & duals[x] != perp:
+                perp, basis = perp & duals[x], basis | 1 << x
         hyperplane = self._span(basis)
         sub, embedding = self.flat_embedding(hyperplane)
-        # the line is joined from p's side, so only row e of `_lines` is filled
-        return sub, [None if p == e else embedding[(self._join(1 << p, e) & hyperplane).bit_length() - 1]
-                     for p in range(self.n)]
+        mapping: list[int | None] = [None] * self.n
+        for p in range(self.n):
+            if p != e:
+                # the line's other points are labelled from p's side: only row e of `_sums` fills
+                meet = p if hyperplane >> p & 1 else next(y for y in self._line_sums(p, e)[::2]
+                                                          if hyperplane >> y & 1)
+                mapping[p] = embedding[meet]
+        return sub, mapping
 
 
 # unbounded but finite: one space per r = 0..MAX_SPACE_RANK and q = 2, 3

@@ -16,7 +16,12 @@ from .catalog import (
     named,
 )
 from .census import SCAN_SEEDS, hyperplane_scan, minimal_non_comatroids
-from .decide import decide_flat_criterion, decide_forbidden_flats, decide_recursive
+from .decide import (
+    decide_flat_criterion,
+    decide_forbidden_flats,
+    decide_recursive,
+    verify_certificate,
+)
 from .matroid import EmbeddedMatroid, embed
 from .linalg import random_invertible
 from .projective import iter_bits, point_space, popcount
@@ -51,19 +56,19 @@ def _c_decider_agreement():
     ok = True
     for r, q in ((4, 2), (3, 3)):
         space = point_space(r, q)
-        mismatches = comatroids = 0
+        mismatches = comatroids = replay_failures = 0
         for m in range(1 << space.n):
             M = EmbeddedMatroid(space, m)
-            a = decide_recursive(M).is_comatroid
-            b = decide_flat_criterion(M).is_comatroid
-            c = decide_forbidden_flats(M).is_comatroid
+            verdicts = (decide_recursive(M), decide_flat_criterion(M), decide_forbidden_flats(M))
+            a, b, c = (v.is_comatroid for v in verdicts)
             if not a == b == c:
                 mismatches += 1
+            replay_failures += sum(not verify_certificate(M, v) for v in verdicts)
             comatroids += a
-        ok &= mismatches == 0
+        ok &= mismatches == 0 and replay_failures == 0
         parts.append(
             f"PG({r - 1},{q}): {1 << space.n} colorings, "
-            f"{comatroids} comatroids, {mismatches} disagreements")
+            f"{comatroids} comatroids, {mismatches} disagreements, {replay_failures} replay failures")
     return ok, "; ".join(parts)
 
 

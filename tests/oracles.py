@@ -2,22 +2,16 @@
 
 Everything here recomputes from first principles (coefficient enumeration
 over coordinate vectors, textbook definitions) without touching the library's
-own rank, closure, or connectivity machinery. There are fifteen exceptions:
-`flat_embedding_by_elimination` and `contraction_map_by_elimination` are the
-Gaussian-elimination embedding of a flat and projection along a point that
-`PointSpace.flat_embedding` and `PointSpace.contraction_map` replaced, kept
-as their references; `tables_by_joins` builds the closure and rank tables
-by a join per mask, the reference for the tables read off the flats;
-`flats_by_joins` builds every level of the flat lattice by the library's
-joins of each flat with every point outside it, the reference for
-`PointSpace.flats_of_rank`, which joins fewer points and reads its upper
-half by duality; `duals_by_dot_products` lists each point's dual hyperplane
+own rank, closure, or connectivity machinery: `join` spans a flat and a point
+from coordinates, and the `*_by_joins` references build on it. There are eleven
+exceptions: `flat_embedding_by_elimination` and `contraction_map_by_elimination`
+are the Gaussian-elimination embedding of a flat and projection along a point
+that `PointSpace.flat_embedding` and `PointSpace.contraction_map` replaced, kept
+as their references; `duals_by_dot_products` lists each point's dual hyperplane
 by a dot product per pair of points, the reference for the bit-sliced
-`PointSpace.dual_hyperplanes`; `span_by_joins` and `components_by_joins` are
-the closure and components of an untabled space by a join per rank, the
-references for the passes over dual rows that replaced them;
-`violating_flats_ambient` and `match_forbidden_ambient` are the two flat
-deciders' scans with every flat read in the ambient space, the references
+`PointSpace.dual_hyperplanes`; `violating_flats_ambient` and
+`match_forbidden_ambient` are the two flat deciders' scans with every flat read
+in the ambient space, the references
 for the scans that read each hyperplane as its trace in PG(r-2, q);
 `generator_images_by_translation` and `orbit_by_generic_walk` are the
 per-byte translate_mask build of the orbit walk's generator tables and the walk
@@ -212,6 +206,26 @@ def contraction_map_by_elimination(space, e):
                  for i in range(space.n)]
 
 
+@functools.lru_cache(maxsize=None)
+def _line(space, i, x):
+    """The mask of the line through points i != x: x and the normalized i + c*x for
+    c = 0..q-1."""
+    u, v, q = space.points[i], space.points[x], space.q
+    line = 1 << x
+    for c in range(q):
+        line |= 1 << space.index[norm_point(tuple((a + c * b) % q for a, b in zip(u, v)), q)]
+    return line
+
+
+def join(space, flat, x):
+    """The flat spanned by a flat and a point x outside it: x and every line through x
+    and a point of the flat."""
+    new = flat | 1 << x
+    for i in iter_bits(flat):
+        new |= _line(space, i, x)
+    return new
+
+
 def tables_by_joins(space):
     """(closure, rank) per mask of space, each mask's closure the join of its
     lowest point with the closure of the rest."""
@@ -222,7 +236,7 @@ def tables_by_joins(space):
         x = low.bit_length() - 1
         c = cl[mask ^ low]
         if not (c >> x) & 1:
-            c = space._join(c, x)
+            c = join(space, c, x)
         cl[mask] = c
         rk[mask] = space._rank_of_size[popcount(c)]
     return cl, rk
@@ -233,7 +247,7 @@ def flats_by_joins(space):
     every flat of the level below joined with every point outside it."""
     levels = [(0,)]
     for _ in range(space.r):
-        levels.append(tuple(sorted({space._join(f, p) for f in levels[-1]
+        levels.append(tuple(sorted({join(space, f, p) for f in levels[-1]
                                     for p in range(space.n) if not (f >> p) & 1})))
     return levels
 
@@ -251,7 +265,7 @@ def span_by_joins(space, mask):
     flat = 0
     rest = mask
     while rest:
-        flat = space._join(flat, (rest & -rest).bit_length() - 1)
+        flat = join(space, flat, (rest & -rest).bit_length() - 1)
         rest &= ~flat
     return flat
 
@@ -265,7 +279,7 @@ def components_by_joins(space, mask):
     while left:
         low = left & -left
         basis |= low
-        span = space._join(span, low.bit_length() - 1)
+        span = join(space, span, low.bit_length() - 1)
         left &= ~span
     blocks = []
     for b in iter_bits(basis):

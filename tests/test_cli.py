@@ -110,6 +110,9 @@ def test_unknown_names_and_verbs_are_usage_errors(capsys):
 def test_rank_cap_is_resource_exit(capsys):
     assert run("decide", "--method", "flats", "catalog:PG(6,2)") == 3
     assert "rank" in capsys.readouterr().err
+    # rank 9 is past every PointSpace, so even the recursion stops there
+    assert run("decide", "--method", "recursive", "catalog:C(10,2)") == 3
+    assert "rank" in capsys.readouterr().err
 
 
 def test_census_minimal_tsv(capsys):

@@ -91,9 +91,12 @@ def test_eight_circuit_by_recursion():
 
 
 def test_rank_cap_on_recursion():
+    # the recursion decides at every rank a PointSpace holds: the 9-circuit has rank 8
     m = embed(circuit(9, 2))
+    v = decide_recursive(m)
+    assert not v.is_comatroid and verify_certificate(m, v)
     with pytest.raises(ResourceLimitError):
-        decide_recursive(m)
+        embed(circuit(10, 2))
 
 
 def test_exhaustive_rank3_binary_with_replay():

@@ -24,6 +24,7 @@ from oracles import (
     duals_by_dot_products,
     flat_embedding_by_elimination,
     flats_by_joins,
+    join,
     span_by_joins,
     tables_by_joins,
 )
@@ -89,12 +90,12 @@ def test_closure_matches_brute_span_gf3(data):
 
 @pytest.mark.parametrize("r,q", [(5, 2), (4, 3)])
 def test_join_of_two_points_is_their_line(r, q):
-    # a fresh space, so every line row is filled here, in both orders of a pair
-    space = PointSpace(r, q)
+    # the join the flat and table oracles build on, in both orders of a pair
+    space = point_space(r, q)
     for i in range(space.n):
         for x in range(space.n):
             if x != i:
-                assert space._join(1 << i, x) == space.mask_of(brute_span_members(space, [i, x]))
+                assert join(space, 1 << i, x) == space.mask_of(brute_span_members(space, [i, x]))
 
 
 def test_tabled_components_match_untabled_path():
@@ -144,8 +145,7 @@ def _dense_and_sparse_masks(space, rng):
 
 @pytest.mark.parametrize("r,q", [(5, 2), (6, 2), (7, 2), (4, 3), (5, 3), (6, 3)])
 def test_untabled_closure_and_components_match_joins(r, q):
-    # fresh spaces: the reference fills its line rows, the tested space answers from
-    # no memo filled elsewhere
+    # fresh spaces, so that the tested space answers from no memo filled elsewhere
     ref, space = PointSpace(r, q), PointSpace(r, q)
     assert space._closure_table is None
     rank_of_size = {(q**k - 1) // (q - 1): k for k in range(r + 1)}
@@ -159,14 +159,13 @@ def test_untabled_closure_and_components_match_joins(r, q):
 @pytest.mark.parametrize("r,q", [(5, 2), (4, 3)])
 def test_untabled_closure_and_components_fill_no_line(r, q):
     # closure, rank and components of an untabled space read dual rows only: after
-    # a few hundred calls no row of lines (or of their sums) has been allocated
+    # a few hundred calls no row of line sums has been allocated
     space = PointSpace(r, q)
     rng = random.Random(r + q)
     for _ in range(150):
         mask = space.mask_of(rng.sample(range(space.n), rng.randint(1, space.n)))
         space.closure_mask(mask), space.rank_of_mask(mask ^ 1), space.components_mask(mask)
     assert space._closure_table is None and len(space._components_memo) > 100
-    assert space._lines == [None] * space.n
     assert space._sums == [None] * space.n
 
 
@@ -216,6 +215,19 @@ def test_flats_of_rank_match_join_oracle(r, q):
         assert space._duals is None
     for k in range(r - 1, -1, -1):
         assert space.flats_of_rank(k) == levels[k]
+
+
+@pytest.mark.parametrize("r,q", [(5, 2), (6, 2), (4, 3), (5, 3)])
+def test_each_flat_level_is_built_alone(r, q):
+    # a level is walked from its own echelon bases: asking for one level builds no
+    # other, and building every level labels no line
+    for k in range(1, r):
+        space = PointSpace(r, q)
+        space.flats_of_rank(k)
+        assert list(space._flats_by_rank) == [k]
+    for k in range(r + 1):
+        space.flats_of_rank(k)
+    assert space._sums == [None] * space.n
 
 
 def test_flats_of_pg32_total():
@@ -294,7 +306,7 @@ def test_point_space_has_no_cached_property():
     names = list(vars(space))
     space.hyperplane_pairs(0), space.hyperplane_traces(1), space.is_connected_mask(3)
     space.connected_spanning_table()
-    # the hyperplanes are the first level above rank r/2, ANDed from the dual list
+    # every level below the top is ANDed from the dual list
     assert space._duals is not None
     assert list(vars(space)) == names
 
