@@ -8,9 +8,9 @@ mechanism: every flat is the meet of the dual rows of the reduced echelon basis
 of its orthogonal complement, so each flat of a level is built exactly once, and
 on untabled spaces closure, rank and components come from passes over a mask's
 rows: the dot product is nondegenerate, so a span is its orthogonal's orthogonal.
-The embedding of a flat onto its own geometry and the contraction along a point
-also read the labelled sums of two points' line (_line_sums), filled one line at
-a time as they are asked for.
+The embedding of a flat onto its own geometry reads each point at the pivots of
+the flat's reduced echelon basis, and the contraction along a point reads where
+each line through it meets a hyperplane missing it.
 Spaces with at most 15 points read closure, rank and connectivity from tables
 over every mask instead, all read off their flats when the space is built.
 The one hyperplane incidence packs each point's images under the hyperplanes'
@@ -19,8 +19,9 @@ table per byte of a mask: a mask's traces are one read per byte, cut into fields
 by one cast, and a point's (hyperplane, bit) pairs are its int's bits. Lazy tables
 live in attributes set in __init__, never in a cached_property, whose write to the
 instance __dict__ makes CPython 3.11 drop the fast path of every later attribute
-load on the instance. Coordinates are read only where a line's sums are filled,
-where the dual rows are built and where an echelon row is named; no step eliminates.
+load on the instance. Coordinates are read only where the dual rows are built, where
+an echelon row is named, where a flat's points are read at its pivots and where a
+contraction sums two points; no step eliminates.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from __future__ import annotations
 import itertools
 import sys
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import ResourceLimitError
-from .linalg import check_field, vec_scale
+from .linalg import check_field, normalize
 
 MAX_SPACE_RANK = 8
 # Largest space that carries closure, rank and connected tables, and whose
@@ -127,41 +129,13 @@ class PointSpace:
         self._embeddings: dict[int, tuple["PointSpace", dict[int, int]]] = {}
         # bounded by its r + 1 levels
         self._flats_by_rank: dict[int, tuple[int, ...]] = {}
-        self._sums: list[list[tuple[int, ...] | None] | None] = [None] * self.n
         if self.n <= TABLE_POINT_CAP:
             self._build_tables()
 
     def __repr__(self):
         return f"PG({self.r - 1},{self.q})"
 
-    # ------------------------------------------------------------------ lines
-
-    def _line_sums(self, i: int, x: int) -> tuple[int, ...]:
-        """The other points y of the line through points i != x, labelled by c = 1..q-1 in
-        one flat tuple: at 2c - 2 and 2c - 1 it holds y and nu with v_i + c*v_x = nu*v_y
-        for the point vectors v.
-
-        Row x of `_sums` is allocated on the first call with x and entry i filled on
-        first use, never ahead of use: that is O(n^2) work and memory up front, most of
-        it never read.
-        """
-        row = self._sums[x]
-        if row is None:
-            row = self._sums[x] = [None] * self.n
-        sums = row[i]
-        if sums is None:
-            u, v = self.points[i], self.points[x]
-            if self.q == 2:
-                sums = (self.index[tuple(a ^ b for a, b in zip(u, v))], 1)
-            else:
-                sums = ()
-                for w in (tuple((a + b) % 3 for a, b in zip(u, v)),
-                          tuple((a - b) % 3 for a, b in zip(u, v))):
-                    nu = next(filter(None, w))
-                    # nu is 1 or 2, its own inverse
-                    sums += (self.index[w if nu == 1 else vec_scale(2, w, 3)], nu)
-            row[i] = sums
-        return sums
+    # ------------------------------------------------------------------ spans
 
     def _span(self, mask: int) -> int:
         """The closure of mask, (mask^⊥)^⊥; the second pass stops at a basis of mask^⊥."""
@@ -404,49 +378,33 @@ class PointSpace:
         """Re-coordinatization of a projective flat onto its own geometry.
 
         Returns the small space PG(k-1, q) and the index map defined on every
-        point of the flat. The map sends the flat's greedy basis b_1..b_k, each
-        the lowest point of the flat outside the span of those before it, to
-        the unit points e_1..e_k, and is built from the lines through b_j and
-        the span so far with no coordinates: each point y that b_j adds has
-        v_i + c*v_{b_j} = nu*v_y for one earlier point i and one c in 1..q-1
-        (read from _line_sums), and goes to img(i) + mu_i*c*e_j, read from the
-        small space's own row for e_j. Here the coordinates of v_i on the
-        basis are mu_i times img(i): mu is 1 on the basis and mu_y = nu*mu_i,
-        as every unit of GF(2) and GF(3) is its own inverse. Over GF(2) every
-        mu is 1; over GF(3) dropping it sends points of flats of rank 3 and
-        more to the wrong image.
+        point of the flat. The flat's reduced row echelon basis has as pivots
+        the lead positions of its points (where their first nonzero entry, 1,
+        sits), and a point's coordinates on that
+        basis are its entries at the pivots. The flat's greedy basis b_1..b_k,
+        each the lowest point of the flat outside the span of those before it,
+        is that basis read from the last pivot back, so the map sends b_j to the
+        unit point e_j by reading each point at the pivots in decreasing order.
 
-        Raises ValueError if flat_mask is not a flat.
+        Raises ValueError if flat_mask is not a flat: a mask with k pivots has
+        rank at least k, and is a flat exactly when it has a rank-k flat's size
+        and a greedy basis of no more than k points.
         """
         got = self._embeddings.get(flat_mask)
         if got is not None:
             return got
-        q = self.q
-        # a mask of no flat's size walks no step and fails the check below
-        k = self._rank_of_size.get(popcount(flat_mask), 0)
-        sub = point_space(k, q)
-        mapping: dict[int, int] = {}
-        mu: dict[int, int] = {}
-        flat = 0
-        rest = flat_mask
-        for j in range(k):
-            # fewer than k steps span fewer points than flat_mask has, so rest is not empty
-            x = (rest & -rest).bit_length() - 1
-            e = sub.index[(0,) * j + (1,) + (0,) * (k - 1 - j)]
-            new = 1 << x
-            for i in iter_bits(flat):
-                m = mu[i]
-                image = sub._line_sums(mapping[i], e)
-                for c, (y, nu) in enumerate(zip(*[iter(self._line_sums(i, x))] * 2), 1):
-                    mapping[y] = image[2 * (m * c % q) - 2]
-                    mu[y] = nu * m % q
-                    new |= 1 << y
-            mapping[x] = e
-            mu[x] = 1
-            flat |= new
-            rest &= ~flat
-        if flat != flat_mask:
+        if flat_mask >> self.n:
+            raise ValueError(f"mask {flat_mask:#x} is not a flat of {self!r}: it has bits past its points")
+        points, q = self.points, self.q
+        members = bits(flat_mask)
+        pivots = sorted({points[i].index(1) for i in members}, reverse=True)
+        k = len(pivots)
+        if self._rank_of_size.get(len(members)) != k or popcount(self._dual_pass(flat_mask, k + 1)[1]) != k:
             raise ValueError(f"mask {flat_mask:#x} is not a flat of {self!r}")
+        sub = point_space(k, q)
+        # itemgetter of one position gives the entry, not a tuple; a rank-1 flat's point reads (1,)
+        read = itemgetter(*pivots) if k > 1 else lambda point: (1,)
+        mapping = {i: sub.index[normalize(read(points[i]), q)] for i in members}
         return remember(self._embeddings, flat_mask, (sub, mapping))
 
     def _pack_incidence(self) -> tuple[int, tuple[int, ...], list[list[int]] | None]:
@@ -519,10 +477,10 @@ class PointSpace:
         cut the meet of dual rows started at e's. Without e it spans a
         hyperplane H missing e. Each point p != e goes to the image under
         flat_embedding(H) of the point where the line through e and p meets H:
-        p itself when p lies in H, else the one other point of that line in H.
-        The embedding's greedy basis of H is that basis without e, so the
-        image drops p's coordinate on e: for spanning restrictions it realizes
-        contraction of e.
+        the one normalized p + c*e, for c = 0..q-1, that lies in H (c = 0 when
+        p lies in H itself). The embedding's greedy basis of H is that basis
+        without e, so the image drops p's coordinate on e: for spanning
+        restrictions it realizes contraction of e.
         """
         duals = self.dual_hyperplanes()
         perp, basis = duals[e], 0
@@ -531,13 +489,12 @@ class PointSpace:
                 perp, basis = perp & duals[x], basis | 1 << x
         hyperplane = self._span(basis)
         sub, embedding = self.flat_embedding(hyperplane)
+        q, v = self.q, self.points[e]
         mapping: list[int | None] = [None] * self.n
-        for p in range(self.n):
+        for p, u in enumerate(self.points):
             if p != e:
-                # the line's other points are labelled from p's side: only row e of `_sums` fills
-                meet = p if hyperplane >> p & 1 else next(y for y in self._line_sums(p, e)[::2]
-                                                          if hyperplane >> y & 1)
-                mapping[p] = embedding[meet]
+                meets = (self.index[normalize(tuple((a + c * b) % q for a, b in zip(u, v)), q)] for c in range(1, q))
+                mapping[p] = embedding[p if hyperplane >> p & 1 else next(y for y in meets if hyperplane >> y & 1)]
         return sub, mapping
 
 

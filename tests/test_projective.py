@@ -156,19 +156,6 @@ def test_untabled_closure_and_components_match_joins(r, q):
         assert space.components_mask(mask) == components_by_joins(ref, mask)
 
 
-@pytest.mark.parametrize("r,q", [(5, 2), (4, 3)])
-def test_untabled_closure_and_components_fill_no_line(r, q):
-    # closure, rank and components of an untabled space read dual rows only: after
-    # a few hundred calls no row of line sums has been allocated
-    space = PointSpace(r, q)
-    rng = random.Random(r + q)
-    for _ in range(150):
-        mask = space.mask_of(rng.sample(range(space.n), rng.randint(1, space.n)))
-        space.closure_mask(mask), space.rank_of_mask(mask ^ 1), space.components_mask(mask)
-    assert space._closure_table is None and len(space._components_memo) > 100
-    assert space._sums == [None] * space.n
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_closure_is_a_closure_operator(data):
@@ -219,15 +206,11 @@ def test_flats_of_rank_match_join_oracle(r, q):
 
 @pytest.mark.parametrize("r,q", [(5, 2), (6, 2), (4, 3), (5, 3)])
 def test_each_flat_level_is_built_alone(r, q):
-    # a level is walked from its own echelon bases: asking for one level builds no
-    # other, and building every level labels no line
+    # a level is walked from its own echelon bases: asking for one level builds no other
     for k in range(1, r):
         space = PointSpace(r, q)
         space.flats_of_rank(k)
         assert list(space._flats_by_rank) == [k]
-    for k in range(r + 1):
-        space.flats_of_rank(k)
-    assert space._sums == [None] * space.n
 
 
 def test_flats_of_pg32_total():
@@ -358,8 +341,8 @@ def test_flat_embedding_preserves_rank():
 
 
 def test_flat_embedding_matches_elimination(monkeypatch):
-    # every flat of PG(r-1, 2), r <= 6, and of PG(r-1, 3), r <= 5; over GF(3)
-    # the flats of rank 3 and more need the scalars the walk tracks; and the
+    # every flat of PG(r-1, 2), r <= 6, and of PG(r-1, 3), r <= 5, whose GF(3)
+    # flats of rank 3 and more have points with entries 2 at their pivots; and the
     # contraction map of every point of the same spaces, built from embeddings
     cases = {}
     contractions = {}
@@ -393,19 +376,31 @@ def test_flat_embedding_matches_elimination(monkeypatch):
             assert mapping == want_map
 
 
-@pytest.mark.parametrize("r,q", [(3, 2), (4, 2), (3, 3), (4, 3)])
+@pytest.mark.parametrize("r,q", [(2, 3), (3, 2), (4, 2), (3, 3), (4, 3)])
 def test_flat_embedding_rejects_non_flats(r, q):
     space = PointSpace(r, q)
-    line = space.flats_of_rank(2)[0]
-    # a line minus a point has no flat's size; a line with one point moved
-    # off it has a line's size but spans a plane
+    line = point_space(r, q).flats_of_rank(2)[0]
+    # a line minus a point has no flat's size; a mask with a bit past the points
+    # names no point; a line with one point moved off it (where the space is
+    # larger than the line) has a line's size and as many lead positions but spans a plane
     low = line & -line
-    off = next(1 << i for i in range(space.n) if not (line >> i) & 1)
-    for mask in (line ^ low, line ^ low | off):
+    offs = [1 << i for i in range(space.n) if not (line >> i) & 1]
+    for mask in [line ^ low, 1 << space.n] + [line ^ low | off for off in offs[:1]]:
         with pytest.raises(ValueError, match="not a flat"):
             space.flat_embedding(mask)
         assert mask not in space._embeddings
     assert space.flat_embedding(line) == flat_embedding_by_elimination(space, line)
+    # every mask of a tabled space, on a fresh space
+    if space.n <= TABLE_POINT_CAP:
+        flats = {f for k in range(r + 1) for f in point_space(r, q).flats_of_rank(k)}
+        space = PointSpace(r, q)
+        for mask in range(1 << space.n):
+            if mask in flats:
+                assert space.flat_embedding(mask) == flat_embedding_by_elimination(space, mask)
+            else:
+                with pytest.raises(ValueError, match="not a flat"):
+                    space.flat_embedding(mask)
+        assert len(space._embeddings) == len(flats)
 
 
 @pytest.mark.parametrize("r,q", [(1, 2), (2, 3), (3, 2), (5, 2), (4, 3), (6, 2), (5, 3),
